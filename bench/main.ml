@@ -6,6 +6,7 @@
      dune exec bench/main.exe                 -- everything, bench scale
      dune exec bench/main.exe -- table2       -- one exhibit
      dune exec bench/main.exe -- all --full   -- slower, larger scales
+     dune exec bench/main.exe -- --smoke      -- BENCH.json + its gates
 
    Scales shrink file sizes / op counts / file sets (and, for SPECsfs,
    the server caches by the same rule) so the whole run finishes in
@@ -18,6 +19,11 @@ module Codec = Slice_nfs.Codec
 module Packet = Slice_net.Packet
 module Cksum = Slice_net.Cksum
 module Routekey = Slice_nfs.Routekey
+module Json = Slice_util.Json
+module Specsfs = Slice_workload.Specsfs
+module Net = Slice_net.Net
+module Host = Slice_storage.Host
+module Engine = Slice_sim.Engine
 
 (* ---- Bechamel microbenchmarks: the real code on the µproxy's critical
    path, one group per exhibit that leans on it ---- *)
@@ -34,11 +40,19 @@ let micro_tests =
   let open Bechamel in
   Test.make_grouped ~name:"uproxy"
     [
-      (* Table 3: packet decode *)
-      Test.make ~name:"table3/peek-call"
-        (Staged.stage (fun () -> ignore (Codec.peek_call sample_call)));
+      (* Table 3: packet decode — the cheap header probes, the cursor
+         peek the µproxy runs per packet, and the full decode it avoids *)
+      Test.make ~name:"table3/is-call"
+        (Staged.stage (fun () -> ignore (Codec.is_call sample_call)));
+      Test.make ~name:"table3/xid-of"
+        (Staged.stage (fun () -> ignore (Codec.xid_of sample_call)));
+      (let c = Codec.cursor () in
+       Test.make ~name:"table3/peek-call"
+         (Staged.stage (fun () -> ignore (Codec.peek_call_into c sample_call))));
       Test.make ~name:"table3/full-decode"
         (Staged.stage (fun () -> ignore (Codec.decode_call sample_call)));
+      Test.make ~name:"table3/reply-status"
+        (Staged.stage (fun () -> ignore (Slice.Proxy.reply_status sample_call)));
       (* Table 3: redirection/rewriting — incremental checksum vs naive *)
       (let pkt = sample_pkt () in
        Test.make ~name:"table3/rewrite-dst-incremental"
@@ -86,331 +100,59 @@ let micro_tests =
          (Staged.stage (fun () -> ignore (Slice_util.Stats.percentile s 99.0))));
     ]
 
-(* Returns (name, ns_per_op) rows for the JSON artifact; NaN when Bechamel
-   produced no estimate. *)
+(* Minor words allocated, read from [Gc.minor_words]: Bechamel's own
+   [minor_allocated] reads [Gc.quick_stat], which on OCaml 5 advances
+   only at minor collections and so reports zero for short samples. *)
+module Minor_words = struct
+  type witness = unit
+
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "w"
+end
+
+let minor_words =
+  Bechamel.Measure.instance (module Minor_words) (Bechamel.Measure.register (module Minor_words))
+
+(* Returns (name, ns_per_op, words_per_op) rows, each an OLS slope over
+   Bechamel's run counts; NaN when Bechamel produced no estimate. *)
 let run_micro ?(quota = 0.25) () =
   let open Bechamel in
-  print_endline "\n== Microbenchmarks (Bechamel, ns/op) ==";
+  print_endline "\n== Microbenchmarks (Bechamel, per op) ==";
   print_endline "the real hot-path code behind each exhibit:";
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] micro_tests in
+  (* No Gc.compact before each sample: within a short quota it leaves so
+     few samples that the fixed per-sample overhead (a few boxed floats)
+     leaks into the words slope of code that allocates nothing. *)
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None ~stabilize:false () in
+  let clock = Toolkit.Instance.monotonic_clock and words = minor_words in
+  let raw = Benchmark.all cfg [ clock; words ] micro_tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [])
+  let estimates instance =
+    let results = Analyze.all ols instance raw in
+    fun name ->
+      match Option.bind (Hashtbl.find_opt results name) Analyze.OLS.estimates with
+      | Some (t :: _) -> t
+      | _ -> Float.nan
   in
+  let ns = estimates clock and wpo = estimates words in
+  let names = List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) raw []) in
   List.map
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some (t :: _) ->
-          Printf.printf "  %-44s %10.1f ns/op\n" name t;
-          (name, t)
-      | _ ->
-          Printf.printf "  %-44s %10s\n" name "n/a";
-          (name, Float.nan))
-      rows
+    (fun name ->
+      Printf.printf "  %-44s %10.1f ns/op %8.2f words/op\n" name (ns name) (wpo name);
+      (name, ns name, wpo name))
+    names
 
-(* ---- machine-readable perf artifact (BENCH_PR2.json) ---- *)
-
-module Json = Slice_util.Json
-
-let bench_json_path = "BENCH_PR2.json"
-
-let bench_json ~micro ~exhibits =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "micro",
-        Json.Arr
-          (List.map
-             (fun (name, ns) ->
-               Json.Obj [ ("name", Json.Str name); ("ns_per_op", Json.Num ns) ])
-             micro) );
-      ( "exhibits",
-        Json.Arr
-          (List.map
-             (fun (p : E.Offload.point) ->
-               Json.Obj
-                 [
-                   ("name", Json.Str p.E.Offload.label);
-                   ("ops_per_sec", Json.Num p.E.Offload.delivered_ops_s);
-                   ("p50_ms", Json.Num p.E.Offload.p50_ms);
-                   ("p95_ms", Json.Num p.E.Offload.p95_ms);
-                   ("p99_ms", Json.Num p.E.Offload.p99_ms);
-                   ("dir_ops", Json.Num (float_of_int p.E.Offload.dir_ops));
-                 ])
-             exhibits) );
-    ]
-
-(* Schema check over the re-parsed file: the smoke alias runs this so the
-   artifact can't silently rot into a shape downstream tooling rejects. *)
-let validate_bench_json txt =
-  let problem = ref None in
-  let fail msg = problem := Some msg in
-  let is_num k o = match Json.member k o with Some (Json.Num _) -> true | _ -> false in
-  let is_str k o = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "schema_version" j, Json.member "micro" j, Json.member "exhibits" j) with
-      | Some (Json.Num _), Some (Json.Arr micro), Some (Json.Arr exhibits) ->
-          if micro = [] then fail "micro is empty";
-          if exhibits = [] then fail "exhibits is empty";
-          List.iter
-            (fun m ->
-              if not (is_str "name" m && is_num "ns_per_op" m) then
-                fail "bad micro row: want {name, ns_per_op}")
-            micro;
-          List.iter
-            (fun e ->
-              if
-                not
-                  (is_str "name" e && is_num "ops_per_sec" e && is_num "p50_ms" e
-                 && is_num "p95_ms" e && is_num "p99_ms" e && is_num "dir_ops" e)
-              then fail "bad exhibit row: want {name, ops_per_sec, p50/p95/p99_ms, dir_ops}")
-            exhibits
-      | _ -> fail "missing top-level keys {schema_version, micro, exhibits}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: schema validation failed: %s\n" bench_json_path msg;
-      false
-
-let write_bench_json ~micro ~exhibits =
-  let oc = open_out bench_json_path in
-  output_string oc (Json.to_string (bench_json ~micro ~exhibits));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (%d micro, %d exhibit rows)\n" bench_json_path (List.length micro)
-    (List.length exhibits)
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* ---- scale-out perf artifact (BENCH_PR5.json): delivered throughput
-   before/after adding one server of each class under live load ---- *)
-
-let bench_pr5_path = "BENCH_PR5.json"
-
-let scale_bench_json (t : E.Scale.t) =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "phases",
-        Json.Arr
-          (List.map
-             (fun (p : E.Scale.phase) ->
-               Json.Obj
-                 [
-                   ("name", Json.Str p.E.Scale.ph_label);
-                   ("ops", Json.Num (float_of_int p.E.Scale.ph_ops));
-                   ("ops_per_sec", Json.Num p.E.Scale.ph_ops_s);
-                 ])
-             t.E.Scale.phases) );
-      ("sites_moved", Json.Num (float_of_int t.E.Scale.sites_moved));
-      ("bytes_copied", Json.Num (Int64.to_float t.E.Scale.bytes_copied));
-      ("audit_lost", Json.Num (float_of_int t.E.Scale.audit.E.Scale.aud_lost));
-      ( "audit_ownership_violations",
-        Json.Num
-          (float_of_int t.E.Scale.audit.E.Scale.aud_ownership_violations) );
-    ]
-
-(* Same re-parse-and-gate discipline as BENCH_PR2.json, plus the
-   substantive checks: the audit must be clean and throughput must rise
-   after every server addition. *)
-let validate_scale_json txt =
-  let problem = ref None in
-  let fail msg = problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  let is_str k o = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "schema_version" j, Json.member "phases" j) with
-      | Some (Json.Num _), Some (Json.Arr phases) ->
-          if List.length phases < 2 then fail "want at least 2 phases";
-          List.iter
-            (fun p ->
-              if not (is_str "name" p && num "ops" p <> None && num "ops_per_sec" p <> None)
-              then fail "bad phase row: want {name, ops, ops_per_sec}")
-            phases;
-          (match (num "audit_lost" j, num "audit_ownership_violations" j) with
-          | Some 0.0, Some 0.0 -> ()
-          | Some _, Some _ -> fail "audit not clean: updates lost or duplicated"
-          | _ -> fail "missing audit keys");
-          (match num "sites_moved" j with
-          | Some v when v > 0.0 -> ()
-          | Some _ -> fail "no sites moved"
-          | None -> fail "missing sites_moved");
-          if num "bytes_copied" j = None then fail "missing bytes_copied";
-          let rates = List.filter_map (num "ops_per_sec") phases in
-          let rec monotone = function
-            | a :: (b :: _ as rest) -> a < b && monotone rest
-            | _ -> true
-          in
-          if not (monotone rates) then
-            fail "throughput did not rise after every server addition"
-      | _ -> fail "missing top-level keys {schema_version, phases}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr5_path msg;
-      false
-
-let write_scale_json t =
-  let oc = open_out bench_pr5_path in
-  output_string oc (Json.to_string (scale_bench_json t));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (%d phases)\n" bench_pr5_path
-    (List.length t.E.Scale.phases)
-
-(* ---- failover perf artifact (BENCH_PR6.json): takeover MTTR per
-   manager class plus the zero-requests-lost gate ---- *)
-
-let bench_pr6_path = "BENCH_PR6.json"
-
-let failover_bench_json (t : E.Failover.t) =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "takeovers",
-        Json.Arr
-          (List.map
-             (fun (tk : E.Failover.takeover) ->
-               Json.Obj
-                 [
-                   ("class", Json.Str tk.E.Failover.tk_class);
-                   ("detect_ms", Json.Num (tk.E.Failover.tk_detect *. 1e3));
-                   ("mttr_ms", Json.Num (tk.E.Failover.tk_mttr *. 1e3));
-                   ("sites", Json.Num (float_of_int tk.E.Failover.tk_sites));
-                 ])
-             t.E.Failover.takeovers) );
-      ("requests_lost", Json.Num (float_of_int t.E.Failover.audit.E.Failover.aud_lost));
-      ("audit_checked", Json.Num (float_of_int t.E.Failover.audit.E.Failover.aud_checked));
-      ( "audit_ownership_violations",
-        Json.Num (float_of_int t.E.Failover.audit.E.Failover.aud_ownership_violations) );
-      ( "zombies_fenced",
-        Json.Num
-          (float_of_int
-             (List.length
-                (List.filter
-                   (fun (z : E.Failover.zombie) -> z.E.Failover.z_update_blocked)
-                   t.E.Failover.zombies))) );
-      ("zombies_probed", Json.Num (float_of_int (List.length t.E.Failover.zombies)));
-    ]
-
-(* The substantive gates: the exhibit killed one manager of each class,
-   so three takeovers with positive bounded MTTR; the post-run audit
-   found every acked update (zero requests lost — the PR's headline
-   claim); every revived zombie was fenced. *)
-let validate_failover_json txt =
-  let problem = ref None in
-  let fail msg = problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  let is_str k o = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "schema_version" j, Json.member "takeovers" j) with
-      | Some (Json.Num _), Some (Json.Arr takeovers) ->
-          if List.length takeovers <> 3 then fail "want exactly 3 takeovers (one per class)";
-          List.iter
-            (fun tk ->
-              if not (is_str "class" tk) then fail "takeover row missing class";
-              match (num "detect_ms" tk, num "mttr_ms" tk, num "sites" tk) with
-              | Some d, Some m, Some s ->
-                  if not (d > 0.0 && m >= d && Float.is_finite m) then
-                    fail "takeover MTTR not positive/bounded";
-                  if s <= 0.0 then fail "takeover claimed no sites"
-              | _ -> fail "takeover row missing detect_ms/mttr_ms/sites")
-            takeovers;
-          (match num "requests_lost" j with
-          | Some 0.0 -> ()
-          | Some _ -> fail "requests lost: failover dropped acked updates"
-          | None -> fail "missing requests_lost");
-          (match num "audit_checked" j with
-          | Some v when v > 0.0 -> ()
-          | _ -> fail "audit checked nothing");
-          (match num "audit_ownership_violations" j with
-          | Some 0.0 -> ()
-          | _ -> fail "ownership not exclusive after failover");
-          (match (num "zombies_fenced" j, num "zombies_probed" j) with
-          | Some f, Some p when f = p && p > 0.0 -> ()
-          | _ -> fail "a revived zombie was not fenced")
-      | _ -> fail "missing top-level keys {schema_version, takeovers}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr6_path msg;
-      false
-
-let write_failover_json t =
-  let oc = open_out bench_pr6_path in
-  output_string oc (Json.to_string (failover_bench_json t));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (%d takeovers)\n" bench_pr6_path
-    (List.length t.E.Failover.takeovers)
-
-(* ---- hot-path allocation baseline (BENCH_PR8.json): words-allocated
-   and nanoseconds per intercepted packet through the µproxy under the
-   SPECsfs mix, plus per-op figures for the packet-peek primitives the
-   typed lint tier (A1) guards. These are the "before" numbers ROADMAP
-   item 3 must beat. ---- *)
-
-module Specsfs = Slice_workload.Specsfs
-
-let bench_pr8_path = "BENCH_PR8.json"
-
-(* Per-op allocation and CPU cost of a tight loop over [f]. Gc counters
-   are process-wide, so the loop runs nothing but [f]; the clock is real
-   CPU time because this measures the harness's own code, not the
-   simulation. *)
-let words_and_ns ~n f =
-  for _ = 1 to 256 do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let w0 = Gc.minor_words () in
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let t0 = Sys.time () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let dt = Sys.time () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
-  (dw /. float_of_int n, dt *. 1e9 /. float_of_int n)
-
-let pr8_micro () =
-  let pkt = sample_pkt () in
-  let d = ref 0 in
-  List.map
-    (fun (name, f) ->
-      let words, ns = words_and_ns ~n:200_000 f in
-      Printf.printf "  %-28s %8.2f words/op %10.1f ns/op\n" name words ns;
-      (name, words, ns))
-    [
-      ("peek/is-call", (fun () -> ignore (Codec.is_call sample_call)));
-      ("peek/xid-of", (fun () -> ignore (Codec.xid_of sample_call)));
-      ("peek/peek-call", (fun () -> ignore (Codec.peek_call sample_call)));
-      ( "rewrite/dst-incremental",
-        fun () ->
-          d := (!d + 1) land 0xFF;
-          Cksum.rewrite_dst pkt !d );
-      ("reply/status", (fun () -> ignore (Slice.Proxy.reply_status sample_call)));
-    ]
+(* ---- the µproxy's per-packet cost, two ways: through a full SPECsfs
+   ensemble (the whole system per intercepted packet) and through one
+   installed µproxy driven directly (the packet path alone) ---- *)
 
 (* One small SPECsfs mix through a full Slice ensemble, Gc counters and
    CPU clock around the proxy loop; packets come from the µproxies'
    interception counters so the denominator is real routed traffic. *)
-let specsfs_packet_baseline ~scale =
+let specsfs_packet_cost ~scale =
   let ens =
     Slice.Ensemble.create
       {
@@ -454,102 +196,11 @@ let specsfs_packet_baseline ~scale =
   let denom = float_of_int (max 1 packets) in
   (r, packets, dw /. denom, dt *. 1e9 /. denom)
 
-let pr8_json ~specsfs:((r : Specsfs.result), packets, wpp, nspp) ~micro =
-  Json.Obj
-    [
-      ("schema_version", Json.Num 1.0);
-      ( "specsfs",
-        Json.Obj
-          [
-            ("delivered_ops_s", Json.Num r.Specsfs.delivered);
-            ("ops_measured", Json.Num (float_of_int r.Specsfs.ops_measured));
-            ("packets", Json.Num (float_of_int packets));
-            ("words_per_packet", Json.Num wpp);
-            ("ns_per_packet", Json.Num nspp);
-          ] );
-      ( "micro",
-        Json.Arr
-          (List.map
-             (fun (name, words, ns) ->
-               Json.Obj
-                 [
-                   ("name", Json.Str name);
-                   ("words_per_op", Json.Num words);
-                   ("ns_per_op", Json.Num ns);
-                 ])
-             micro) );
-    ]
-
-(* The gates: a packet actually flowed, both per-packet figures are
-   finite (words may be zero — that is the goal state), and every micro
-   row is complete. *)
-let validate_pr8_json txt =
-  let problem = ref None in
-  let fail msg = problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  let is_str k o = match Json.member k o with Some (Json.Str _) -> true | _ -> false in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "schema_version" j, Json.member "specsfs" j, Json.member "micro" j) with
-      | Some (Json.Num _), Some sfs, Some (Json.Arr micro) ->
-          (match num "packets" sfs with
-          | Some p when p > 0.0 -> ()
-          | Some _ -> fail "no packets intercepted"
-          | None -> fail "missing packets");
-          (match num "words_per_packet" sfs with
-          | Some w when Float.is_finite w && w >= 0.0 -> ()
-          | _ -> fail "words_per_packet not a finite non-negative number");
-          (match num "ns_per_packet" sfs with
-          | Some n when Float.is_finite n && n >= 0.0 -> ()
-          | _ -> fail "ns_per_packet not a finite non-negative number");
-          if num "delivered_ops_s" sfs = None || num "ops_measured" sfs = None then
-            fail "missing delivered_ops_s/ops_measured";
-          if micro = [] then fail "micro is empty";
-          List.iter
-            (fun m ->
-              if not (is_str "name" m && num "words_per_op" m <> None && num "ns_per_op" m <> None)
-              then fail "bad micro row: want {name, words_per_op, ns_per_op}")
-            micro
-      | _ -> fail "missing top-level keys {schema_version, specsfs, micro}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr8_path msg;
-      false
-
-let write_pr8_json ~specsfs ~micro =
-  let oc = open_out bench_pr8_path in
-  output_string oc (Json.to_string (pr8_json ~specsfs ~micro));
-  output_char oc '\n';
-  close_out oc;
-  let _, packets, wpp, nspp = specsfs in
-  Printf.printf "\nwrote %s (%d packets, %.1f words/packet, %.0f ns/packet)\n" bench_pr8_path
-    packets wpp nspp
-
-(* ---- zero-allocation packet path (BENCH_PR9.json): the ratchet on the
-   PR 8 baseline. A direct-drive harness pushes a SPECsfs-shaped mix of
-   calls and replies through a fully installed µproxy — egress/ingress
-   filters, cursor peeks, pending pool, forwarding, reply patching — and
-   gates the steady-state allocation under 64 words/packet (the PR 8
-   artifact recorded 5963). The full-ensemble SPECsfs figures ride along
-   so the per-packet cost of the complete system is recorded in the same
-   artifact and the ns gate compares like with like on one machine. ---- *)
-
-module Net = Slice_net.Net
-module Host = Slice_storage.Host
-module Engine = Slice_sim.Engine
-
-let bench_pr9_path = "BENCH_PR9.json"
-let pr9_words_budget = 64.0
-let pr9_baseline_words = 5963.0 (* BENCH_PR8.json as recorded before this ratchet *)
-
-let pr9_fh i =
-  { Fh.file_id = Int64.of_int (1000 + i); gen = 1; ftype = Fh.Reg; mirrored = false;
-    attr_site = 0; cap = 0L }
-
-let pr9_mix i =
-  let fh = pr9_fh (i mod 8) in
+let packet_mix i =
+  let fh =
+    { Fh.file_id = Int64.of_int (1000 + (i mod 8)); gen = 1; ftype = Fh.Reg; mirrored = false;
+      attr_site = 0; cap = 0L }
+  in
   let attr = Nfs.default_attr ~ftype:Fh.Reg ~fileid:fh.Fh.file_id ~now:0.0 in
   match i mod 5 with
   | 0 -> (Nfs.Lookup (Fh.root, Printf.sprintf "f%d" (i mod 8)), Ok (Nfs.RLookup (fh, attr)))
@@ -562,10 +213,12 @@ let pr9_mix i =
       ( Nfs.Write (fh, Int64.of_int (i mod 32 * 8192), Nfs.Unstable, Nfs.Synthetic 4096),
         Ok (Nfs.RWrite (4096, Nfs.Unstable, attr)) )
 
-(* Words and nanoseconds per packet through the installed µproxy, meta
-   fast path off (it would answer from cache and skip forwarding) and the
+(* Words and nanoseconds per packet through the installed µproxy —
+   egress/ingress filters, cursor peeks, pending pool, forwarding, reply
+   patching — over a SPECsfs-shaped mix of calls and replies. Meta fast
+   path off (it would answer from cache and skip forwarding) and the
    expiry sweep off (idle timers would pollute the Gc window). *)
-let pr9_packet_path () =
+let packet_path_cost () =
   let eng = Engine.create () in
   let net = Net.create eng () in
   let chost = Host.create net ~name:"client" () in
@@ -595,12 +248,12 @@ let pr9_packet_path () =
   let pkts =
     Array.init n (fun i ->
         Packet.make ~src:chost.Host.addr ~dst:vaddr ~sport:1000 ~dport:2049
-          (Codec.encode_call ~xid:(0x100000 + i) (fst (pr9_mix i))))
+          (Codec.encode_call ~xid:(0x100000 + i) (fst (packet_mix i))))
   in
   let rpkts =
     Array.init n (fun i ->
         Packet.make ~src:dhost.Host.addr ~dst:chost.Host.addr ~sport:2049 ~dport:1000
-          (Codec.encode_reply ~xid:(0x100000 + i) (snd (pr9_mix i))))
+          (Codec.encode_reply ~xid:(0x100000 + i) (snd (packet_mix i))))
   in
   let batch = 128 in
   let run_batch b =
@@ -634,203 +287,129 @@ let pr9_packet_path () =
   let denom = float_of_int (max 1 packets) in
   (packets, dw /. denom, dt *. 1e9 /. denom)
 
-let pr9_json ~packet_path:(packets, wpp, nspp)
-    ~specsfs:((r : Specsfs.result), spackets, swpp, snspp) =
+(* ---- BENCH.json: one section per exhibit plus the gates over them
+   (bench/gates.ml) ---- *)
+
+let artifact_path = "BENCH.json"
+
+(* Non-finite measurements become null, which every gate rejects. *)
+let num v = if Float.is_finite v then Json.Num v else Json.Null
+let count n = Json.Num (float_of_int n)
+
+let micro_section rows =
+  Json.Arr
+    (List.map
+       (fun (name, ns, words) ->
+         Json.Obj
+           [ ("name", Json.Str name); ("ns_per_op", num ns); ("words_per_op", num words) ])
+       rows)
+
+let offload_section points =
+  Json.Arr
+    (List.map
+       (fun (p : E.Offload.point) ->
+         Json.Obj
+           [
+             ("name", Json.Str p.E.Offload.label);
+             ("ops_per_sec", num p.E.Offload.delivered_ops_s);
+             ("p50_ms", num p.E.Offload.p50_ms);
+             ("p95_ms", num p.E.Offload.p95_ms);
+             ("p99_ms", num p.E.Offload.p99_ms);
+             ("dir_ops", count p.E.Offload.dir_ops);
+           ])
+       points)
+
+let scale_section (t : E.Scale.t) =
+  let rates = List.map (fun (p : E.Scale.phase) -> p.E.Scale.ph_ops_s) t.E.Scale.phases in
+  let rec rises = function a :: (b :: _ as rest) -> num (b -. a) :: rises rest | _ -> [] in
   Json.Obj
     [
-      ("schema_version", Json.Num 1.0);
-      ( "gates",
-        Json.Obj
-          [
-            ("words_budget", Json.Num pr9_words_budget);
-            ("baseline_words_per_packet", Json.Num pr9_baseline_words);
-          ] );
-      ( "packet_path",
-        Json.Obj
-          [
-            ("packets", Json.Num (float_of_int packets));
-            ("words_per_packet", Json.Num wpp);
-            ("ns_per_packet", Json.Num nspp);
-          ] );
-      ( "specsfs_full",
-        Json.Obj
-          [
-            ("delivered_ops_s", Json.Num r.Specsfs.delivered);
-            ("ops_measured", Json.Num (float_of_int r.Specsfs.ops_measured));
-            ("packets", Json.Num (float_of_int spackets));
-            ("words_per_packet", Json.Num swpp);
-            ("ns_per_packet", Json.Num snspp);
-          ] );
+      ( "phases",
+        Json.Arr
+          (List.map
+             (fun (p : E.Scale.phase) ->
+               Json.Obj
+                 [
+                   ("name", Json.Str p.E.Scale.ph_label);
+                   ("ops", count p.E.Scale.ph_ops);
+                   ("ops_per_sec", num p.E.Scale.ph_ops_s);
+                 ])
+             t.E.Scale.phases) );
+      ("phase_rises_ops_s", Json.Arr (rises rates));
+      ("sites_moved", count t.E.Scale.sites_moved);
+      ("bytes_copied", num (Int64.to_float t.E.Scale.bytes_copied));
+      ("audit_lost", count t.E.Scale.audit.E.Scale.aud_lost);
+      ("audit_ownership_violations", count t.E.Scale.audit.E.Scale.aud_ownership_violations);
     ]
 
-(* The ratchet gates, enforced from the artifact itself so a re-validation
-   from disk carries them: packets flowed on both harnesses, the direct
-   packet path held under the words budget, the full-ensemble figure beat
-   the recorded PR 8 baseline, and the direct path is no slower per packet
-   than the full system it is a slice of. *)
-let validate_pr9_json txt =
-  let problem = ref None in
-  let fail msg = if !problem = None then problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match
-        ( Json.member "schema_version" j,
-          Json.member "gates" j,
-          Json.member "packet_path" j,
-          Json.member "specsfs_full" j )
-      with
-      | Some (Json.Num _), Some gates, Some pp, Some sfs -> (
-          match
-            ( num "words_budget" gates,
-              num "baseline_words_per_packet" gates,
-              num "packets" pp,
-              num "words_per_packet" pp,
-              num "ns_per_packet" pp,
-              num "packets" sfs,
-              num "words_per_packet" sfs,
-              num "ns_per_packet" sfs )
-          with
-          | Some budget, Some baseline, Some p, Some wpp, Some nspp, Some sp, Some swpp, Some snspp
-            ->
-              if p <= 0.0 then fail "packet_path: no packets flowed";
-              if sp <= 0.0 then fail "specsfs_full: no packets intercepted";
-              if not (Float.is_finite wpp && wpp >= 0.0) then
-                fail "packet_path.words_per_packet not finite";
-              if not (Float.is_finite nspp && nspp >= 0.0) then
-                fail "packet_path.ns_per_packet not finite";
-              if wpp >= budget then
-                fail
-                  (Printf.sprintf "packet_path words/packet %.1f over budget %.0f" wpp budget);
-              if swpp >= baseline then
-                fail
-                  (Printf.sprintf "specsfs words/packet %.1f not under baseline %.0f" swpp
-                     baseline);
-              if Float.is_finite snspp && nspp > snspp then
-                fail
-                  (Printf.sprintf
-                     "packet path slower than the full system: %.0f ns > %.0f ns" nspp snspp)
-          | _ -> fail "missing numeric fields in gates/packet_path/specsfs_full")
-      | _ ->
-          fail "missing top-level keys {schema_version, gates, packet_path, specsfs_full}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr9_path msg;
-      false
-
-let write_pr9_json ~packet_path ~specsfs =
-  let oc = open_out bench_pr9_path in
-  output_string oc (Json.to_string (pr9_json ~packet_path ~specsfs));
-  output_char oc '\n';
-  close_out oc;
-  let packets, wpp, nspp = packet_path in
-  Printf.printf "\nwrote %s (%d packets, %.1f words/packet, %.0f ns/packet)\n" bench_pr9_path
-    packets wpp nspp
-
-(* ---- multi-tenant QoS storm (BENCH_PR10.json): the isolation gate.
-   The three-tenant storm runs FIFO then with the full QoS stack from
-   one seed; the artifact gates the interactive tenant's p99 under the
-   configured bound, aggregate throughput within 5% of the FIFO run,
-   and re-asserts that the PR 9 packet-path budgets are unchanged —
-   QoS scheduling lives on the cold side of the allocation-free
-   path. ---- *)
-
-let bench_pr10_path = "BENCH_PR10.json"
-let pr10_ratio_floor = 0.95
-
-let pr10_json (st : E.Storm.t) =
+let failover_section (t : E.Failover.t) =
+  let zombies = t.E.Failover.zombies in
+  let probed = List.length zombies in
+  let fenced =
+    List.length (List.filter (fun (z : E.Failover.zombie) -> z.E.Failover.z_update_blocked) zombies)
+  in
   Json.Obj
     [
-      ("schema_version", Json.Num 1.0);
-      ( "gates",
-        Json.Obj
-          [
-            ("p99_bound_ms", Json.Num st.E.Storm.st_p99_bound_ms);
-            ("throughput_ratio_floor", Json.Num pr10_ratio_floor);
-            ("pr9_words_budget", Json.Num pr9_words_budget);
-            ("pr9_baseline_words_per_packet", Json.Num pr9_baseline_words);
-          ] );
-      ("storm", E.Storm.json_of st);
+      ( "takeovers",
+        Json.Arr
+          (List.map
+             (fun (tk : E.Failover.takeover) ->
+               let detect = tk.E.Failover.tk_detect *. 1e3 in
+               let mttr = tk.E.Failover.tk_mttr *. 1e3 in
+               Json.Obj
+                 [
+                   ("class", Json.Str tk.E.Failover.tk_class);
+                   ("detect_ms", num detect);
+                   ("mttr_ms", num mttr);
+                   ("mttr_after_detect_ms", num (mttr -. detect));
+                   ("sites", count tk.E.Failover.tk_sites);
+                 ])
+             t.E.Failover.takeovers) );
+      ("requests_lost", count t.E.Failover.audit.E.Failover.aud_lost);
+      ("audit_checked", count t.E.Failover.audit.E.Failover.aud_checked);
+      ("audit_ownership_violations", count t.E.Failover.audit.E.Failover.aud_ownership_violations);
+      ("zombies_probed", count probed);
+      ("zombies_fenced", count fenced);
+      ("zombies_unfenced", count (probed - fenced));
     ]
 
-let validate_pr10_json txt =
-  let problem = ref None in
-  let fail msg = if !problem = None then problem := Some msg in
-  let num k o = match Json.member k o with Some (Json.Num v) -> Some v | _ -> None in
-  (match Json.of_string txt with
-  | exception Json.Parse_error m -> fail ("parse error: " ^ m)
-  | j -> (
-      match (Json.member "gates" j, Json.member "storm" j) with
-      | Some gates, Some storm -> (
-          match
-            ( num "p99_bound_ms" gates,
-              num "throughput_ratio_floor" gates,
-              num "pr9_words_budget" gates,
-              num "pr9_baseline_words_per_packet" gates,
-              num "interactive_p99_on_ms" storm,
-              num "interactive_p99_off_ms" storm,
-              num "throughput_ratio" storm )
-          with
-          | ( Some bound,
-              Some floor_,
-              Some wb,
-              Some bw,
-              Some p99_on,
-              Some p99_off,
-              Some ratio ) ->
-              (* the PR 9 ratchet must ride along unchanged: QoS stays off
-                 the allocation-free packet path *)
-              if wb <> pr9_words_budget then
-                fail (Printf.sprintf "pr9 words budget drifted: %.1f" wb);
-              if bw <> pr9_baseline_words then
-                fail (Printf.sprintf "pr9 baseline words drifted: %.1f" bw);
-              if not (Float.is_finite p99_off && p99_off > 0.0) then
-                fail "storm: qos-off interactive p99 not positive";
-              if not (Float.is_finite p99_on && p99_on > 0.0) then
-                fail "storm: qos-on interactive p99 not positive";
-              if p99_on > bound then
-                fail
-                  (Printf.sprintf "interactive p99 %.1f ms over the %.0f ms bound" p99_on bound);
-              if ratio < floor_ then
-                fail
-                  (Printf.sprintf "aggregate throughput ratio %.3f under floor %.2f" ratio floor_);
-              let side_ok label =
-                match Json.member label storm with
-                | Some side -> (
-                    match num "total_ops" side with
-                    | Some ops when ops > 0.0 -> ()
-                    | _ -> fail (label ^ ": no measured ops"))
-                | None -> fail ("missing storm." ^ label)
-              in
-              side_ok "qos_off";
-              side_ok "qos_on";
-              (match Json.member "qos_on" storm with
-              | Some side -> (
-                  match (num "admission_deferrals" side, num "p2c_probes" side) with
-                  | Some d, Some p ->
-                      if d <= 0.0 then fail "qos_on: admission gate never engaged";
-                      if p <= 0.0 then fail "qos_on: p2c read probe never engaged"
-                  | _ -> fail "qos_on: missing admission/p2c counters")
-              | None -> ())
-          | _ -> fail "missing numeric fields in gates/storm")
-      | _ -> fail "missing top-level keys {gates, storm}"));
-  match !problem with
-  | None -> true
-  | Some msg ->
-      Printf.eprintf "%s: validation failed: %s\n" bench_pr10_path msg;
-      false
+let specsfs_section ((r : Specsfs.result), packets, wpp, nspp) =
+  Json.Obj
+    [
+      ("delivered_ops_s", num r.Specsfs.delivered);
+      ("ops_measured", count r.Specsfs.ops_measured);
+      ("packets", count packets);
+      ("words_per_packet", num wpp);
+      ("ns_per_packet", num nspp);
+    ]
 
-let write_pr10_json st =
-  let oc = open_out bench_pr10_path in
-  output_string oc (Json.to_string (pr10_json st));
+let packet_path_section (packets, wpp, nspp) ~full_system_ns =
+  Json.Obj
+    [
+      ("packets", count packets);
+      ("words_per_packet", num wpp);
+      ("ns_per_packet", num nspp);
+      ("ns_below_full_system", num (full_system_ns -. nspp));
+    ]
+
+(* Write the sections and the gates over them, then re-read the file
+   and run the checker on what landed on disk. *)
+let write_artifact sections gates =
+  let j = Json.Obj (sections @ [ ("gates", Json.Arr (List.map Gates.to_json gates)) ]) in
+  let oc = open_out artifact_path in
+  output_string oc (Json.to_string j);
   output_char oc '\n';
   close_out oc;
-  Printf.printf "\nwrote %s (p99 %.1f -> %.1f ms, ratio %.3f)\n" bench_pr10_path
-    (E.Storm.interactive_p99_ms st.E.Storm.st_off)
-    (E.Storm.interactive_p99_ms st.E.Storm.st_on)
-    st.E.Storm.st_throughput_ratio
+  let txt = In_channel.with_open_bin artifact_path In_channel.input_all in
+  let failures =
+    match Json.of_string txt with
+    | exception Json.Parse_error m -> [ "parse error: " ^ m ]
+    | j -> Gates.check j
+  in
+  List.iter (Printf.eprintf "%s: %s\n" artifact_path) failures;
+  Printf.printf "\nwrote %s (%d sections, %d gates, %d failed)\n" artifact_path
+    (List.length sections) (List.length gates) (List.length failures);
+  failures = []
 
 (* ---- ablations ---- *)
 
@@ -950,23 +529,19 @@ let parse_args () =
   in
   ((match which with [] -> "all" | w :: _ -> w), full, smoke)
 
-(* CI smoke: tiny-quota micro pass + a no-sweep offload point pair, then
-   write BENCH_PR2.json and re-validate it from disk. Exit 1 on schema
-   failure so the bench-smoke alias actually gates. *)
+(* CI smoke: every exhibit that carries a gate, at tiny scale, into one
+   BENCH.json re-checked from disk. Exit 1 on any failed gate so the
+   bench-smoke alias actually gates. *)
 let run_smoke () =
   print_endline "bench smoke: micro (tiny quota) + offload (scale 0.05)";
   let micro = run_micro ~quota:0.05 () in
-  let exhibits = E.Offload.compute ~scale:0.05 ~sweep:false () in
-  (match exhibits with
+  let offload = E.Offload.compute ~scale:0.05 ~sweep:false () in
+  (match offload with
   | off :: on :: _ ->
       Printf.printf "  offload smoke: dir ops %d -> %d (-%.0f%%)\n" off.E.Offload.dir_ops
         on.E.Offload.dir_ops
         (E.Offload.dir_reduction ~off ~on)
   | _ -> ());
-  write_bench_json ~micro ~exhibits;
-  if validate_bench_json (read_file bench_json_path) then
-    print_endline "bench smoke: BENCH_PR2.json schema OK"
-  else exit 1;
   print_endline "bench smoke: scale-out (scale 0.1)";
   let sc = E.Scale.compute ~scale:0.1 () in
   (match sc.E.Scale.phases with
@@ -977,10 +552,6 @@ let run_smoke () =
         (List.length sc.E.Scale.phases)
         sc.E.Scale.sites_moved
   | [] -> ());
-  write_scale_json sc;
-  if validate_scale_json (read_file bench_pr5_path) then
-    print_endline "bench smoke: BENCH_PR5.json OK"
-  else exit 1;
   print_endline "bench smoke: failover (scale 0.5)";
   let fo = E.Failover.compute ~scale:0.5 () in
   List.iter
@@ -989,27 +560,14 @@ let run_smoke () =
         tk.E.Failover.tk_class (tk.E.Failover.tk_detect *. 1e3) (tk.E.Failover.tk_mttr *. 1e3)
         tk.E.Failover.tk_sites)
     fo.E.Failover.takeovers;
-  write_failover_json fo;
-  if validate_failover_json (read_file bench_pr6_path) then
-    print_endline "bench smoke: BENCH_PR6.json OK (zero requests lost)"
-  else exit 1;
-  print_endline "bench smoke: hot-path baseline (SPECsfs mix, scale 0.01)";
-  let micro8 = pr8_micro () in
-  let ((r8, packets, wpp, nspp) as sfs8) = specsfs_packet_baseline ~scale:0.01 in
-  Printf.printf "  sfs baseline: %d packets, %.1f words/packet, %.0f ns/packet (%.0f ops/s)\n"
-    packets wpp nspp r8.Specsfs.delivered;
-  write_pr8_json ~specsfs:sfs8 ~micro:micro8;
-  if validate_pr8_json (read_file bench_pr8_path) then
-    print_endline "bench smoke: BENCH_PR8.json OK (hot-path baseline recorded)"
-  else exit 1;
-  print_endline "bench smoke: zero-allocation packet path (direct drive)";
-  let ((pp_packets, pp_wpp, pp_nspp) as pp) = pr9_packet_path () in
+  print_endline "bench smoke: µproxy cost per packet (full SPECsfs ensemble, scale 0.01)";
+  let ((r, s_packets, s_wpp, s_nspp) as sfs) = specsfs_packet_cost ~scale:0.01 in
+  Printf.printf "  specsfs_full: %d packets, %.1f words/packet, %.0f ns/packet (%.0f ops/s)\n"
+    s_packets s_wpp s_nspp r.Specsfs.delivered;
+  print_endline "bench smoke: µproxy cost per packet (packet path, direct drive)";
+  let ((packets, wpp, nspp) as pp) = packet_path_cost () in
   Printf.printf "  packet path: %d packets, %.1f words/packet, %.0f ns/packet (budget %.0f)\n"
-    pp_packets pp_wpp pp_nspp pr9_words_budget;
-  write_pr9_json ~packet_path:pp ~specsfs:sfs8;
-  if validate_pr9_json (read_file bench_pr9_path) then
-    print_endline "bench smoke: BENCH_PR9.json OK (packet path under words budget)"
-  else exit 1;
+    packets wpp nspp Gates.packet_words_budget;
   print_endline "bench smoke: multi-tenant storm (FIFO vs per-tenant QoS)";
   let st = E.Storm.compute () in
   Printf.printf
@@ -1018,9 +576,18 @@ let run_smoke () =
     (E.Storm.interactive_p99_ms st.E.Storm.st_on)
     st.E.Storm.st_p99_bound_ms
     (100.0 *. st.E.Storm.st_throughput_ratio);
-  write_pr10_json st;
-  if validate_pr10_json (read_file bench_pr10_path) then
-    print_endline "bench smoke: BENCH_PR10.json OK (tenant isolation under bound)"
+  let sections =
+    [
+      ("micro", micro_section micro);
+      ("offload", offload_section offload);
+      ("scale", scale_section sc);
+      ("failover", failover_section fo);
+      ("specsfs_full", specsfs_section sfs);
+      ("packet_path", packet_path_section pp ~full_system_ns:s_nspp);
+      ("storm", E.Storm.json_of st);
+    ]
+  in
+  if write_artifact sections Gates.all then print_endline "bench smoke: BENCH.json OK"
   else exit 1
 
 let () =
@@ -1042,14 +609,15 @@ let () =
     end
     else []
   in
-  if micro <> [] || offload_points <> [] then begin
-    write_bench_json ~micro ~exhibits:offload_points;
-    (* partial targets legitimately leave one section empty; only a run
-       that produced both gates on the schema *)
-    if
-      micro <> [] && offload_points <> []
-      && not (validate_bench_json (read_file bench_json_path))
-    then exit 1
+  (* a partial target writes only the sections it ran, gated by the
+     gates over those sections *)
+  let sections =
+    (if micro <> [] then [ ("micro", micro_section micro) ] else [])
+    @ if offload_points <> [] then [ ("offload", offload_section offload_points) ] else []
+  in
+  if sections <> [] then begin
+    let gates = List.filter (fun g -> List.mem_assoc (Gates.section g) sections) Gates.all in
+    if not (write_artifact sections gates) then exit 1
   end;
   if want "table2" then E.Report.print (E.Table2.report ~scale:(if full then 0.4 else 0.08) ());
   if want "table3" then E.Report.print (E.Table3.report ~scale:(if full then 0.5 else 0.05) ());

@@ -31,9 +31,9 @@ let repo =
        everything else must go through them. *)
     d1_allow = any_prefix [ "lib/util/prng."; "lib/sim/" ];
     (* Modules whose hash-table iteration feeds reports, stats
-       aggregation or BENCH_*.json artifacts — including the tracer,
-       metrics registry and the load generators, whose dumps and op
-       streams must be byte-stable across runs. *)
+       aggregation or BENCH.json — including the tracer, metrics
+       registry and the load generators, whose dumps and op streams
+       must be byte-stable across runs. *)
     d2_scope =
       (fun f ->
         any_prefix
@@ -95,7 +95,7 @@ let repo =
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
        the codec peek path and its XDR primitives, and the engine's
-       event dispatch (plus the heap it leans on). *)
+       event dispatch. *)
     a1_scope =
       (fun f ->
         List.mem f
@@ -104,7 +104,6 @@ let repo =
             "lib/nfs/codec.ml";
             "lib/xdr/xdr.ml";
             "lib/sim/engine.ml";
-            "lib/util/heap.ml";
           ]);
     (* The fenced server modules of PR 6: every dispatch path that
        reaches the WAL, the buffer cache or the allocator must be

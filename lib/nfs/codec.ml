@@ -464,100 +464,18 @@ let extra_size_of_response = function
   | Ok (Nfs.RRead (Nfs.Synthetic n, _, _)) -> n
   | _ -> 0
 
-(* ---- µproxy partial decode ---- *)
-
-type peek = {
-  xid : int;
-  proc : int;
-  fh : Fh.t option;
-  fh2 : Fh.t option;
-  name : string option;
-  name2 : string option;
-  offset : int64 option;
-  offset_field_off : int option;
-  count : int option;
-  write_stable : Nfs.stable_how option;
-  set_size : int64 option;
-  access_mask : int option;
-  items : int;
-}
-
-let peek_call buf =
-  let d = Dec.of_bytes buf in
-  try
-    let xid, proc = dec_call_header d in
-    let base =
-      { xid; proc; fh = None; fh2 = None; name = None; name2 = None; offset = None;
-        offset_field_off = None; count = None; write_stable = None;
-        set_size = None; access_mask = None; items = 0 }
-    in
-    let p =
-      match proc with
-      | 0 -> base
-      | 1 | 5 | 18 -> { base with fh = Some (dec_fh d) }
-      | 2 ->
-          let fh = dec_fh d in
-          let s = dec_sattr d in
-          { base with fh = Some fh; set_size = s.Nfs.set_size }
-      | 3 | 8 | 9 | 12 | 13 ->
-          let fh = dec_fh d in
-          { base with fh = Some fh; name = Some (Dec.str d) }
-      | 4 ->
-          let fh = dec_fh d in
-          { base with fh = Some fh; access_mask = Some (Dec.u32 d) }
-      | 6 ->
-          let fh = dec_fh d in
-          let fpos = Dec.pos d in
-          let off = Dec.u64 d in
-          { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;
-            count = Some (Dec.u32 d) }
-      | 7 ->
-          let fh = dec_fh d in
-          let fpos = Dec.pos d in
-          let off = Dec.u64 d in
-          let count = Dec.u32 d in
-          let stable = stable_of_int (Dec.u32 d) in
-          { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;
-            count = Some count; write_stable = Some stable }
-      | 10 ->
-          let fh = dec_fh d in
-          { base with fh = Some fh; name = Some (Dec.str d) }
-      | 14 ->
-          let fh1 = dec_fh d in
-          let n1 = Dec.str d in
-          let fh2 = dec_fh d in
-          { base with fh = Some fh1; name = Some n1; fh2 = Some fh2;
-            name2 = Some (Dec.str d) }
-      | 15 ->
-          let file = dec_fh d in
-          let dir = dec_fh d in
-          { base with fh = Some file; fh2 = Some dir; name = Some (Dec.str d) }
-      | 16 ->
-          let fh = dec_fh d in
-          let fpos = Dec.pos d in
-          let cookie = Dec.u64 d in
-          { base with fh = Some fh; offset = Some cookie; offset_field_off = Some fpos;
-            count = Some (Dec.u32 d) }
-      | 21 ->
-          let fh = dec_fh d in
-          let fpos = Dec.pos d in
-          let off = Dec.u64 d in
-          { base with fh = Some fh; offset = Some off; offset_field_off = Some fpos;
-            count = Some (Dec.u32 d) }
-      | _ -> raise (Malformed "unknown proc")
-    in
-    Some { p with items = Dec.items_read d }
-  with Slice_xdr.Xdr.Truncated | Malformed _ -> None
-
-(* ---- cursor peek: the allocation-free twin of [peek_call] ----
+(* ---- cursor peek: the µproxy's partial decode ----
 
    One long-lived cursor per µproxy instance; [peek_call_into] re-reads
-   it from a packet buffer, recording field positions instead of
-   materializing handles and names. Absent fields are -1 (offsets/counts)
-   — the record is all-mutable and reset on every call, so steady-state
-   interception allocates nothing. Field-for-field it consumes exactly
-   the XDR items [peek_call] does, keeping the decode cost model (and so
-   every simulated timing) bit-identical across the two paths. *)
+   it from a packet buffer, recording the positions of exactly the fields
+   the µproxy routes on instead of materializing handles and names.
+   Absent fields are -1 (offsets/counts) — the record is all-mutable and
+   reset on every call, so steady-state interception allocates nothing.
+   [c_items] counts the XDR items consumed over the RPC header and the
+   routed fields: one per 32- or 64-bit word, two per variable-length
+   opaque (length and body). The µproxy charges decode time per item,
+   so this count is the decode cost model behind every simulated
+   timing. *)
 
 type cursor = {
   cr : Dec.t;

@@ -28,42 +28,17 @@ val status_of_int : int -> Nfs.status
 (** The NFS V3 wire values ([ERR_MISDIRECTED] is Slice's 20001).
     @raise Malformed on an unknown code. *)
 
-(** {2 µproxy partial decode} *)
+(** {2 µproxy partial decode}
 
-type peek = {
-  xid : int;
-  proc : int;
-  fh : Fh.t option;  (** first file-handle argument *)
-  fh2 : Fh.t option;  (** second handle ([rename]/[link] destination dir) *)
-  name : string option;  (** first name-component argument *)
-  name2 : string option;  (** [rename] destination name *)
-  offset : int64 option;  (** [read]/[write]/[commit] offset *)
-  offset_field_off : int option;
-      (** byte offset of the 8-byte offset/cookie field within the
-          payload, so the µproxy can rewrite it in place (stripe-local
-          offsets, readdir cookie translation) with incremental checksum
-          repair *)
-  count : int option;
-  write_stable : Nfs.stable_how option;
-  set_size : int64 option;
-      (** [setattr] size field when present — a truncation, which must
-          invalidate the µproxy's cached block map for the file *)
-  access_mask : int option;  (** [access] requested permission mask *)
-  items : int;  (** XDR items consumed — drives the decode cost model *)
-}
-
-val peek_call : bytes -> peek option
-(** Decode exactly the fields the µproxy routes on ("the µproxy examines
-    up to four fields of each request"); [None] if the payload is not an
-    NFS V3 call. *)
-
-(** {2 Cursor peek}
-
-    The allocation-free twin of {!peek_call}: one long-lived all-mutable
+    Decode exactly the fields the µproxy routes on ("the µproxy examines
+    up to four fields of each request"). One long-lived all-mutable
     cursor per µproxy instance records field {e positions} in the packet
     buffer instead of materializing handles and names, so steady-state
-    interception allocates nothing. It consumes exactly the XDR items
-    {!peek_call} does, keeping the decode cost model identical. *)
+    interception allocates nothing. [c_items] counts the XDR items
+    consumed — one per 32- or 64-bit word, two per variable-length
+    opaque — over the RPC header and the routed fields; the µproxy
+    charges decode time per item, so this count is the decode cost
+    model. *)
 
 type cursor = {
   cr : Slice_xdr.Xdr.Dec.t;
@@ -78,10 +53,14 @@ type cursor = {
   mutable c_name2_len : int;  (** rename destination name; -1 = none *)
   mutable c_offset : int;  (** valid iff [c_off_field >= 0] *)
   mutable c_off_field : int;
-      (** byte offset of the 8-byte offset/cookie field; -1 = none *)
+      (** byte offset of the 8-byte offset/cookie field, so the µproxy
+          can rewrite it in place (stripe-local offsets, readdir cookie
+          translation) with incremental checksum repair; -1 = none *)
   mutable c_count : int;  (** -1 = none *)
   mutable c_stable : int;  (** wire stable_how (0/1/2); -1 = none *)
   mutable c_has_set_size : bool;
+      (** [setattr] carries a size — a truncation, which must invalidate
+          the µproxy's cached block map for the file *)
   mutable c_set_size : int;  (** valid iff [c_has_set_size] *)
   mutable c_access : int;  (** -1 = none *)
   mutable c_items : int;  (** XDR items consumed — decode cost model *)

@@ -1,5 +1,5 @@
-(* Minimal JSON support for the bench harness: enough to emit BENCH_*.json
-   and re-parse it for schema validation, without pulling in a dependency. *)
+(* Minimal JSON support for the bench harness: enough to emit BENCH.json
+   and re-parse it for its gate checks, without pulling in a dependency. *)
 
 type t =
   | Null

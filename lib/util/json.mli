@@ -1,5 +1,5 @@
 (** Minimal JSON emit/parse for the bench harness's machine-readable
-    output (BENCH_*.json) and its schema validation — no external
+    output (BENCH.json) and its gate checks — no external
     dependency, no streaming, strings are BMP-only. *)
 
 type t =

@@ -101,46 +101,60 @@ let call_roundtrip =
       let xid', call' = Codec.decode_call (Codec.encode_call ~xid call) in
       xid' = xid && call' = call)
 
+(* The cursor peek against the full decode: handles compared through
+   [Fh.decode_at] on their spans, names by span bytes, scalar fields by
+   value. *)
+let span_fh buf off = if off < 0 then None else Fh.decode_at buf off
+
 let peek_matches_decode =
   qtest ~count:500 "peek agrees with full decode" gen_call (fun call ->
       let buf = Codec.encode_call ~xid:77 call in
-      match Codec.peek_call buf with
-      | None -> false
-      | Some p ->
-          p.Codec.xid = 77
-          && p.Codec.proc = Nfs.proc_of_call call
-          && (match call with
-             | Nfs.Getattr fh | Nfs.Lookup (fh, _) | Nfs.Read (fh, _, _)
-             | Nfs.Write (fh, _, _, _) | Nfs.Create (fh, _) | Nfs.Mkdir (fh, _) ->
-                 p.Codec.fh = Some fh
-             | Nfs.Null -> p.Codec.fh = None
-             | _ -> true)
-          &&
-          match call with
-          | Nfs.Read (_, off, count) | Nfs.Commit (_, off, count) ->
-              p.Codec.offset = Some off && p.Codec.count = Some count
-          | Nfs.Write (_, off, stable, data) ->
-              p.Codec.offset = Some off
-              && p.Codec.count = Some (Nfs.wdata_length data)
-              && p.Codec.write_stable = Some stable
-          | Nfs.Rename (_, n1, fh2, _) -> p.Codec.name = Some n1 && p.Codec.fh2 = Some fh2
-          | Nfs.Lookup (_, n) -> p.Codec.name = Some n
-          | _ -> true)
+      let c = Codec.cursor () in
+      let name_is n =
+        c.Codec.c_name_len >= 0
+        && Bytes.sub_string buf c.Codec.c_name_off c.Codec.c_name_len = n
+      in
+      let offset_is off = c.Codec.c_off_field >= 0 && Int64.of_int c.Codec.c_offset = off in
+      Codec.peek_call_into c buf
+      && c.Codec.c_xid = 77
+      && c.Codec.c_proc = Nfs.proc_of_call call
+      && (match call with
+         | Nfs.Getattr fh | Nfs.Lookup (fh, _) | Nfs.Read (fh, _, _)
+         | Nfs.Write (fh, _, _, _) | Nfs.Create (fh, _) | Nfs.Mkdir (fh, _) ->
+             span_fh buf c.Codec.c_fh_off = Some fh
+         | Nfs.Null -> c.Codec.c_fh_off = -1
+         | _ -> true)
+      &&
+      match call with
+      | Nfs.Read (_, off, count) | Nfs.Commit (_, off, count) ->
+          offset_is off && c.Codec.c_count = count
+      | Nfs.Write (_, off, stable, data) ->
+          offset_is off
+          && c.Codec.c_count = Nfs.wdata_length data
+          && c.Codec.c_stable
+             = (match stable with Nfs.Unstable -> 0 | Nfs.Data_sync -> 1 | Nfs.File_sync -> 2)
+      | Nfs.Rename (_, n1, fh2, _) -> name_is n1 && span_fh buf c.Codec.c_fh2_off = Some fh2
+      | Nfs.Lookup (_, n) -> name_is n
+      | Nfs.Setattr (_, { Nfs.set_size = Some size; _ }) ->
+          c.Codec.c_has_set_size && Int64.of_int c.Codec.c_set_size = size
+      | _ -> true)
 
 let peek_offset_field =
   qtest "peek's offset field location is exact" QCheck2.Gen.(pair gen_fh int)
     (fun (fh, off) ->
       let off = Int64.of_int (abs off) in
       let buf = Codec.encode_call ~xid:9 (Nfs.Read (fh, off, 4096)) in
-      match Codec.peek_call buf with
-      | Some { Codec.offset_field_off = Some pos; _ } -> Bytes.get_int64_be buf pos = off
-      | _ -> false)
+      let c = Codec.cursor () in
+      Codec.peek_call_into c buf
+      && c.Codec.c_off_field >= 0
+      && Bytes.get_int64_be buf c.Codec.c_off_field = off)
 
 let peek_rejects_garbage () =
-  check_bool "garbage" true (Codec.peek_call (Bytes.make 40 'x') = None);
-  check_bool "empty" true (Codec.peek_call Bytes.empty = None);
+  let c = Codec.cursor () in
+  check_bool "garbage" false (Codec.peek_call_into c (Bytes.make 40 'x'));
+  check_bool "empty" false (Codec.peek_call_into c Bytes.empty);
   let reply = Codec.encode_reply ~xid:3 (Ok Nfs.RNull) in
-  check_bool "reply is not a call" true (Codec.peek_call reply = None)
+  check_bool "reply is not a call" false (Codec.peek_call_into c reply)
 
 (* ---- replies ---- *)
 
@@ -322,7 +336,7 @@ let decode_garbage_is_contained =
     (fun s ->
       let buf = Bytes.of_string s in
       let contained f = match f () with _ -> true | exception Codec.Malformed _ -> true in
-      contained (fun () -> ignore (Codec.peek_call buf))
+      contained (fun () -> ignore (Codec.peek_call_into (Codec.cursor ()) buf))
       && contained (fun () -> ignore (Codec.decode_call buf))
       && contained (fun () -> ignore (Codec.decode_reply buf))
       && contained (fun () -> ignore (Codec.reply_attr_offset buf))
@@ -337,7 +351,9 @@ let truncated_real_call_is_contained =
       (match Codec.decode_call cut with
       | _ -> true
       | exception Codec.Malformed _ -> true)
-      && match Codec.peek_call cut with Some _ | None -> true)
+      &&
+      (ignore (Codec.peek_call_into (Codec.cursor ()) cut);
+       true))
 
 let suite =
   suite @ [ decode_garbage_is_contained; truncated_real_call_is_contained ]

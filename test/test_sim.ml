@@ -13,6 +13,46 @@ let event_ordering () =
   check_bool "order a,b,c" true (List.rev !log = [ "a"; "b"; "c" ]);
   check_float "clock at last event" 2.0 (Engine.now eng)
 
+(* The engine's inlined event heap against a list model: events fire in
+   (time, schedule order), through both the batched [run] and [step]. *)
+let drains_in_time_then_fifo_order =
+  qtest "engine drains in (time, schedule order)"
+    QCheck2.Gen.(list (int_range 0 20))
+    (fun delays ->
+      let eng = Engine.create () in
+      let fired = ref [] in
+      List.iteri
+        (fun i d -> Engine.schedule eng (0.5 *. float_of_int d) (fun () -> fired := i :: !fired))
+        delays;
+      Engine.run eng;
+      let by_time = List.stable_sort (fun (a, _) (b, _) -> compare a b) in
+      let expected = List.map snd (by_time (List.mapi (fun i d -> (d, i)) delays)) in
+      List.rev !fired = expected)
+
+let min_under_interleaved_schedule_step =
+  qtest "engine min under interleaved schedule/step"
+    QCheck2.Gen.(list (pair bool (int_range 0 20)))
+    (fun ops ->
+      let eng = Engine.create () in
+      let model = ref [] and seq = ref 0 and last = ref None in
+      List.for_all
+        (fun (is_schedule, d) ->
+          if is_schedule then begin
+            let key = (Engine.now eng +. (0.5 *. float_of_int d), !seq) in
+            incr seq;
+            Engine.schedule eng (0.5 *. float_of_int d) (fun () -> last := Some key);
+            model := List.sort compare (key :: !model);
+            true
+          end
+          else
+            match (Engine.step eng, !model) with
+            | false, [] -> true
+            | true, m :: rest ->
+                model := rest;
+                !last = Some m && Engine.now eng = fst m
+            | _ -> false)
+        ops)
+
 let schedule_past_clamps () =
   let eng = Engine.create () in
   let at = ref 0.0 in
@@ -187,6 +227,8 @@ let parallel_window_zero () =
 let suite =
   [
     ("event ordering", `Quick, event_ordering);
+    drains_in_time_then_fifo_order;
+    min_under_interleaved_schedule_step;
     ("schedule past clamps", `Quick, schedule_past_clamps);
     ("run ~until", `Quick, run_until);
     ("run ~until advances clock", `Quick, run_until_advances_clock);

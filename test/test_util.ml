@@ -1,64 +1,8 @@
 open Helpers
-module Heap = Slice_util.Heap
 module Prng = Slice_util.Prng
 module Stats = Slice_util.Stats
 module Lru = Slice_util.Lru
 module Json = Slice_util.Json
-
-(* ---- Heap ---- *)
-
-let heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  check_bool "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  check_int "length" 6 (Heap.length h);
-  check_int "peek min" 1 (Option.get (Heap.peek h));
-  check_int "pop 1" 1 (Heap.pop_exn h);
-  check_int "pop 2" 2 (Heap.pop_exn h);
-  Heap.push h 0;
-  check_int "pop 0" 0 (Heap.pop_exn h);
-  check_int "length after" 4 (Heap.length h)
-
-let heap_pop_empty () =
-  let h = Heap.create ~cmp:compare in
-  check_bool "pop none" true (Heap.pop h = None);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
-let heap_sorts =
-  qtest "heap yields sorted order" QCheck2.Gen.(list int) (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort compare xs)
-
-let heap_interleaved =
-  qtest "heap min under interleaved push/pop"
-    QCheck2.Gen.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Heap.push h v;
-            model := List.sort compare (v :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some x, m :: rest ->
-                model := rest;
-                x = m
-            | _ -> false)
-        ops)
 
 (* ---- Prng ---- *)
 
@@ -376,11 +320,6 @@ let json_accessors () =
 
 let suite =
   [
-    ("heap basic", `Quick, heap_basic);
-    ("heap pop empty", `Quick, heap_pop_empty);
-    ("heap clear", `Quick, heap_clear);
-    heap_sorts;
-    heap_interleaved;
     ("prng deterministic", `Quick, prng_deterministic);
     ("prng seeds differ", `Quick, prng_seeds_differ);
     prng_int_range;
