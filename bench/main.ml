@@ -151,7 +151,10 @@ let run_micro ?(quota = 0.25) () =
 
 (* One small SPECsfs mix through a full Slice ensemble, Gc counters and
    CPU clock around the proxy loop; packets come from the µproxies'
-   interception counters so the denominator is real routed traffic. *)
+   interception counters so the denominator is real routed traffic. A
+   tick every 0.5 ms of simulated time records the engine queue's peak
+   — it reads the queue and nothing else, so the run's own events keep
+   their order — and stops once nothing else is queued. *)
 let specsfs_packet_cost ~scale =
   let ens =
     Slice.Ensemble.create
@@ -180,6 +183,13 @@ let specsfs_packet_cost ~scale =
       seed = 11;
     }
   in
+  let heap_peak = ref 0 in
+  let rec tick () =
+    let n = Engine.pending eng in
+    if n > !heap_peak then heap_peak := n;
+    if n > 0 then Engine.schedule eng 5e-4 tick
+  in
+  Engine.schedule eng 0.0 tick;
   let w0 = Gc.minor_words () in
   (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
   let t0 = Sys.time () in
@@ -194,7 +204,7 @@ let specsfs_packet_cost ~scale =
       (Slice.Ensemble.client_proxies ens)
   in
   let denom = float_of_int (max 1 packets) in
-  (r, packets, dw /. denom, dt *. 1e9 /. denom)
+  (r, packets, dw /. denom, dt *. 1e9 /. denom, !heap_peak)
 
 let packet_mix i =
   let fh =
@@ -373,7 +383,7 @@ let failover_section (t : E.Failover.t) =
       ("zombies_unfenced", count (probed - fenced));
     ]
 
-let specsfs_section ((r : Specsfs.result), packets, wpp, nspp) =
+let specsfs_section ((r : Specsfs.result), packets, wpp, nspp, heap_peak) =
   Json.Obj
     [
       ("delivered_ops_s", num r.Specsfs.delivered);
@@ -381,6 +391,7 @@ let specsfs_section ((r : Specsfs.result), packets, wpp, nspp) =
       ("packets", count packets);
       ("words_per_packet", num wpp);
       ("ns_per_packet", num nspp);
+      ("engine_heap_peak", count heap_peak);
     ]
 
 let packet_path_section (packets, wpp, nspp) ~full_system_ns =
@@ -561,9 +572,10 @@ let run_smoke () =
         tk.E.Failover.tk_sites)
     fo.E.Failover.takeovers;
   print_endline "bench smoke: µproxy cost per packet (full SPECsfs ensemble, scale 0.01)";
-  let ((r, s_packets, s_wpp, s_nspp) as sfs) = specsfs_packet_cost ~scale:0.01 in
-  Printf.printf "  specsfs_full: %d packets, %.1f words/packet, %.0f ns/packet (%.0f ops/s)\n"
-    s_packets s_wpp s_nspp r.Specsfs.delivered;
+  let ((r, s_packets, s_wpp, s_nspp, s_heap) as sfs) = specsfs_packet_cost ~scale:0.01 in
+  Printf.printf
+    "  specsfs_full: %d packets, %.1f words/packet, %.0f ns/packet (%.0f ops/s), engine heap peak %d\n"
+    s_packets s_wpp s_nspp r.Specsfs.delivered s_heap;
   print_endline "bench smoke: µproxy cost per packet (packet path, direct drive)";
   let ((packets, wpp, nspp) as pp) = packet_path_cost () in
   Printf.printf "  packet path: %d packets, %.1f words/packet, %.0f ns/packet (budget %.0f)\n"

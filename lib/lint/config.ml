@@ -94,8 +94,8 @@ let repo =
     required_dune_flags = uniform_flags;
     (* Files whose [@hot] roots seed A1, and which therefore must have a
        .cmt available when the typed tier runs: the µproxy packet path,
-       the codec peek path and its XDR primitives, and the engine's
-       event dispatch. *)
+       the codec peek path and its XDR primitives, the engine's event
+       dispatch and timers, and the xid index the µproxy and Rpc share. *)
     a1_scope =
       (fun f ->
         List.mem f
@@ -104,6 +104,7 @@ let repo =
             "lib/nfs/codec.ml";
             "lib/xdr/xdr.ml";
             "lib/sim/engine.ml";
+            "lib/util/xid_index.ml";
           ]);
     (* The fenced server modules of PR 6: every dispatch path that
        reaches the WAL, the buffer cache or the allocator must be

@@ -5,7 +5,14 @@
     pending packets without compromising correctness — end-to-end
     protocols retransmit packets as necessary to recover from drops in the
     µproxy". Replies are matched to calls by XID (first big-endian word of
-    the payload). *)
+    the payload).
+
+    Outstanding calls live in pooled slots found by xid through
+    {!Slice_util.Xid_index}, the index the µproxy uses for its pending
+    records. Each slot holds its retransmit timer's state and a fire
+    thunk built once, so a call allocates no table entry, pending record
+    or timer closure; a reply cancels the live timer, so the engine's
+    queue holds timers for outstanding calls only. *)
 
 exception Timeout
 (** Raised when all retransmissions are exhausted. *)
@@ -35,7 +42,8 @@ val call :
   bytes ->
   bytes
 (** [call t ~dst ~dport payload] sends the payload (whose first word must
-    be a fresh XID from {!fresh_xid}) and parks the calling fiber until a
+    be a fresh XID from {!fresh_xid}, not outstanding on this endpoint —
+    [Invalid_argument] otherwise) and parks the calling fiber until a
     matching reply arrives, raising {!Timeout} after [retries]
     retransmissions (default 8). The retransmit schedule starts at
     [timeout] seconds (default 0.1) and grows by factor [backoff]
@@ -49,7 +57,9 @@ val call :
     request attach under it. *)
 
 val retransmissions : t -> int
-(** Total timeout-triggered resends across all calls. *)
+(** Total timeout-triggered resends across all calls. A reply cancels
+    its call's pending retransmit, so only calls still unanswered at
+    their deadline resend. *)
 
 val timeouts : t -> int
 (** Calls that exhausted their retransmission budget and raised

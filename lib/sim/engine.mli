@@ -23,6 +23,27 @@ val schedule : t -> float -> (unit -> unit) -> unit
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** [schedule_at t time f] runs [f] at absolute [time] (clamped to now). *)
 
+(** {2 Cancellable timers} *)
+
+type timer
+(** Names one scheduled event: its pooled cell plus the event's sequence
+    number, which acts as a generation stamp. Handles are plain values —
+    holding one keeps nothing alive. *)
+
+val no_timer : timer
+(** A handle that names no event; cancelling it does nothing. *)
+
+val timer : t -> float -> (unit -> unit) -> timer
+(** [timer t delay f] is {!schedule} that also returns a handle. The
+    event draws its place in the (time, seq) order when it is scheduled,
+    exactly as {!schedule} would, so arming a timer and cancelling it
+    later leaves the order of every other event unchanged. *)
+
+val cancel : t -> timer -> unit
+(** Take the named event out of the queue without running it; its thunk
+    is dropped at once. A handle whose event has already fired or been
+    cancelled — even if its cell now carries a later event — is a no-op. *)
+
 val spawn : t -> (unit -> unit) -> unit
 (** [spawn t f] starts a fiber at the current time. The fiber may use
     {!sleep} and {!suspend}. Exceptions escaping a fiber abort the run. *)
@@ -53,4 +74,5 @@ val step : t -> bool
 (** Process a single event; [false] if the queue was empty. *)
 
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events. Only live events count: a cancelled timer
+    leaves the queue when it is cancelled. *)

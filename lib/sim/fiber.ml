@@ -14,10 +14,12 @@ let join_all eng fns =
 
 let timeout eng limit f =
   Engine.suspend (fun wake ->
+      let limit_timer = ref Engine.no_timer in
       Engine.spawn eng (fun () ->
           let v = f () in
+          Engine.cancel eng !limit_timer;
           wake (Some v));
-      Engine.schedule eng limit (fun () -> wake None))
+      limit_timer := Engine.timer eng limit (fun () -> wake None))
 
 let parallel_window eng ~window n f =
   if window <= 0 then invalid_arg "Fiber.parallel_window";

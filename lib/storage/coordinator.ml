@@ -14,6 +14,7 @@ type intent = {
   fh : Fh.t;
   participants : int list;
   mutable completed : bool;
+  mutable probe : Engine.timer; (* the armed redo probe, cancelled on retire *)
 }
 
 let rt_intent = 1
@@ -92,6 +93,7 @@ let fan_out ?(span = Trace.null) t (call : Nfs.call) sites =
    operations in progress and cannot grow with op count. *)
 let retire t op_id (i : intent) =
   i.completed <- true;
+  Engine.cancel t.host.Host.eng i.probe;
   t.completed_count <- t.completed_count + 1;
   log_complete t op_id;
   Hashtbl.remove t.intents op_id
@@ -103,11 +105,12 @@ let rec redo t op_id (i : intent) =
   if (not i.completed) && not (wedged t) then begin
     t.redo_count <- t.redo_count + 1;
     if fan_out t (nfs_call_for_redo i) i.participants then retire t op_id i
-    else schedule_probe t op_id
+    else schedule_probe t op_id i
   end
 
-and schedule_probe t op_id =
-  Engine.schedule t.host.Host.eng t.probe_timeout (fun () ->
+and schedule_probe t op_id (i : intent) =
+  i.probe <-
+    Engine.timer t.host.Host.eng t.probe_timeout (fun () ->
       if t.up && not (wedged t) then
         match Hashtbl.find_opt t.intents op_id with
         | Some i when not i.completed -> Engine.spawn t.host.Host.eng (fun () -> redo t op_id i)
@@ -168,11 +171,11 @@ let handle_msg t (pkt : Packet.t) =
             else
             (match msg with
             | Ctrl.Intent { op_id; kind; fh; participants } ->
-                let i = { kind; fh; participants; completed = false } in
+                let i = { kind; fh; participants; completed = false; probe = Engine.no_timer } in
                 Hashtbl.replace t.intents op_id i;
                 log_intent ~span t op_id i;
                 Wal.sync ~span t.wal;
-                schedule_probe t op_id;
+                schedule_probe t op_id i;
                 reply Ctrl.Ack
             | Ctrl.Complete { op_id } ->
                 (match Hashtbl.find_opt t.intents op_id with
@@ -181,21 +184,21 @@ let handle_msg t (pkt : Packet.t) =
                 reply Ctrl.Ack
             | Ctrl.Remove_file { fh; sites } ->
                 let op_id = fresh_op t in
-                let i = { kind = Ctrl.K_remove; fh; participants = sites; completed = false } in
+                let i = { kind = Ctrl.K_remove; fh; participants = sites; completed = false; probe = Engine.no_timer } in
                 Hashtbl.replace t.intents op_id i;
                 log_intent ~span t op_id i;
                 (* The intent is durable, so ack either way: a participant
                    that missed the remove gets it from the probe/redo path. *)
                 if fan_out ~span t (Nfs.Remove (fh, "")) sites then retire t op_id i
-                else schedule_probe t op_id;
+                else schedule_probe t op_id i;
                 reply Ctrl.Ack
             | Ctrl.Commit_file { fh; sites } ->
                 let op_id = fresh_op t in
-                let i = { kind = Ctrl.K_commit; fh; participants = sites; completed = false } in
+                let i = { kind = Ctrl.K_commit; fh; participants = sites; completed = false; probe = Engine.no_timer } in
                 Hashtbl.replace t.intents op_id i;
                 log_intent ~span t op_id i;
                 if fan_out ~span t (Nfs.Commit (fh, 0L, 0)) sites then retire t op_id i
-                else schedule_probe t op_id;
+                else schedule_probe t op_id i;
                 reply Ctrl.Ack
             | Ctrl.Get_map { fh; first_block; count } -> (
                 match sites_for t fh (first_block + count - 1) with
@@ -296,7 +299,7 @@ let recover t =
          | rt when rt = rt_intent -> (
              match Ctrl.decode_msg (Bytes.of_string payload) with
              | _, Ctrl.Intent { op_id; kind; fh; participants } ->
-                 Hashtbl.replace t.intents op_id { kind; fh; participants; completed = false }
+                 Hashtbl.replace t.intents op_id { kind; fh; participants; completed = false; probe = Engine.no_timer }
              | _ -> ()
              | exception Ctrl.Malformed -> ())
          | rt when rt = rt_complete -> (

@@ -320,7 +320,23 @@ let probe_hot_roots () =
   agree "Codec.xid_of" (fun () -> Codec.xid_of pkt);
   agree "Codec.int_of_status" (fun () -> Codec.int_of_status Slice_nfs.Nfs.OK);
   agree "Proxy.reply_status" (fun () -> Proxy.reply_status pkt);
-  agree "Proxy.op_of_proc" (fun () -> Proxy.op_of_proc 6)
+  agree "Proxy.op_of_proc" (fun () -> Proxy.op_of_proc 6);
+  (* the shared xid index, and cancellation of live engine timers armed
+     beforehand (arming boxes the event time, as scheduling always has) *)
+  let idx = Slice_util.Xid_index.create 8 in
+  Slice_util.Xid_index.add idx 3 1;
+  agree "Xid_index.find" (fun () -> Slice_util.Xid_index.find idx 3);
+  agree "Xid_index.add" (fun () ->
+      Slice_util.Xid_index.add idx 5 2;
+      Slice_util.Xid_index.remove idx 5);
+  agree "Xid_index.remove" (fun () -> Slice_util.Xid_index.remove idx 7);
+  let eng = Slice_sim.Engine.create () in
+  let fire () = () in
+  let timers = Array.init 4096 (fun i -> Slice_sim.Engine.timer eng (float_of_int i) fire) in
+  let next = ref 0 in
+  agree "Engine.cancel" (fun () ->
+      Slice_sim.Engine.cancel eng timers.(!next land 4095);
+      incr next)
 
 (* The repo profile itself must be clean — the same scan the @lint alias
    runs, typed tier included, executed from the repo root (scopes and

@@ -4,6 +4,7 @@ module Net = Slice_net.Net
 module Packet = Slice_net.Packet
 module Cksum = Slice_net.Cksum
 module Rpc = Slice_net.Rpc
+module Fiber = Slice_sim.Fiber
 
 let mk_pkt ?(payload = "hello world") () =
   Packet.make ~src:0 ~dst:1 ~sport:1000 ~dport:2049 (Bytes.of_string payload)
@@ -316,6 +317,124 @@ let rpc_duplicate_replies_dropped () =
   check_bool "no crash on dup" true v;
   check_int "completed once" 1 (Rpc.calls_completed rpc)
 
+(* The retransmit timer of an answered call leaves the event queue with
+   the reply: however many calls complete, the queue holds only what the
+   outstanding ones need (a timer and an in-flight packet or two each). *)
+let rpc_heap_tracks_outstanding_calls () =
+  let eng, net = mk_net () in
+  let c = Net.add_node net ~name:"client" in
+  let s = Net.add_node net ~name:"server" in
+  echo_server net s ~port:2049;
+  let rpc = Rpc.create net c ~port:900 in
+  let callers = 8 and calls = 50 in
+  let worst = ref 0 and done_ = ref 0 and last = ref 0.0 in
+  for _ = 1 to callers do
+    Engine.spawn eng (fun () ->
+        for _ = 1 to calls do
+          ignore (Rpc.call rpc ~timeout:2.0 ~dst:s ~dport:2049 (mk_call_payload rpc 1));
+          worst := max !worst (Engine.pending eng - (4 * Rpc.pending_calls rpc))
+        done;
+        last := Engine.now eng;
+        incr done_)
+  done;
+  Engine.run eng;
+  check_int "every caller finished" callers !done_;
+  check_int "completed" (callers * calls) (Rpc.calls_completed rpc);
+  check_bool
+    (Printf.sprintf "pending <= 4 x outstanding + 8 (excess %d)" !worst)
+    true (!worst <= 8);
+  check_float "run ends with the last reply, not a dead timer" !last (Engine.now eng)
+
+let rpc_reply_after_retransmit () =
+  let eng, net = mk_net () in
+  let c = Net.add_node net ~name:"client" in
+  let s = Net.add_node net ~name:"server" in
+  (* the server ignores the first copy of every request *)
+  let seen = ref 0 in
+  Net.listen net s ~port:2049 (fun pkt ->
+      incr seen;
+      if !seen > 1 then
+        Net.send net
+          (Packet.make ~src:s ~dst:pkt.Packet.src ~sport:2049 ~dport:pkt.Packet.sport
+             (Bytes.copy pkt.Packet.payload)));
+  let rpc = Rpc.create net c ~port:900 in
+  let returns = ref 0 and left = ref (-1) and at = ref 0.0 in
+  Engine.spawn eng (fun () ->
+      ignore (Rpc.call rpc ~timeout:0.1 ~retries:3 ~dst:s ~dport:2049 (mk_call_payload rpc 3));
+      incr returns;
+      at := Engine.now eng;
+      left := Engine.pending eng);
+  Engine.run eng;
+  check_int "returned exactly once" 1 !returns;
+  check_int "one retransmission" 1 (Rpc.retransmissions rpc);
+  check_int "no call pending" 0 (Rpc.pending_calls rpc);
+  check_int "reply cancelled the live timer" 0 !left;
+  check_float "run ends at the reply" !at (Engine.now eng)
+
+let rpc_timeout_leaves_nothing () =
+  let eng, net = mk_net () in
+  let c = Net.add_node net ~name:"client" in
+  let s = Net.add_node net ~name:"server" in
+  let rpc = Rpc.create net c ~port:900 in
+  let raised =
+    run_on eng (fun () ->
+        try
+          ignore (Rpc.call rpc ~timeout:0.05 ~retries:2 ~dst:s ~dport:2049 (mk_call_payload rpc 1));
+          false
+        with Rpc.Timeout -> true)
+  in
+  check_bool "timeout raised" true raised;
+  check_int "timeouts counted" 1 (Rpc.timeouts rpc);
+  check_int "no call pending" 0 (Rpc.pending_calls rpc);
+  check_int "no event queued" 0 (Engine.pending eng)
+
+(* An interposed filter may answer inside [Net.send] itself; the call
+   must complete without arming a timer on its released slot. *)
+let rpc_reply_inside_send () =
+  let eng, net = mk_net () in
+  let c = Net.add_node net ~name:"client" in
+  let s = Net.add_node net ~name:"server" in
+  Net.add_egress_filter net c (fun pkt ->
+      Net.dispatch net
+        (Packet.make ~src:s ~dst:c ~sport:2049 ~dport:pkt.Packet.sport
+           (Bytes.copy pkt.Packet.payload));
+      None);
+  let rpc = Rpc.create net c ~port:900 in
+  let tags =
+    run_on eng (fun () ->
+        List.map
+          (fun tag ->
+            let reply = Rpc.call rpc ~dst:s ~dport:2049 (mk_call_payload rpc tag) in
+            Int32.to_int (Bytes.get_int32_be reply 4))
+          [ 1; 2; 3 ])
+  in
+  check_bool "replies in order" true (tags = [ 1; 2; 3 ]);
+  check_int "no retransmissions" 0 (Rpc.retransmissions rpc);
+  check_int "no call pending" 0 (Rpc.pending_calls rpc);
+  check_int "no event queued" 0 (Engine.pending eng)
+
+let rpc_rejects_outstanding_xid () =
+  let eng, net = mk_net () in
+  let c = Net.add_node net ~name:"client" in
+  let s = Net.add_node net ~name:"server" in
+  echo_server net s ~port:2049;
+  let rpc = Rpc.create net c ~port:900 in
+  let payload = mk_call_payload rpc 1 in
+  let second =
+    run_on eng (fun () ->
+        Fiber.join_all eng
+          [
+            (fun () -> ignore (Rpc.call rpc ~dst:s ~dport:2049 payload));
+            (fun () ->
+              match Rpc.call rpc ~dst:s ~dport:2049 payload with
+              | _ -> Alcotest.fail "a second call on an outstanding xid went out"
+              | exception Invalid_argument _ -> ());
+          ];
+        Rpc.calls_completed rpc)
+  in
+  check_int "the first call completed" 1 second;
+  check_int "no call pending" 0 (Rpc.pending_calls rpc)
+
 let suite =
   [
     ("checksum verifies", `Quick, checksum_verifies);
@@ -340,4 +459,9 @@ let suite =
     ("rpc retransmits through loss", `Quick, rpc_retransmits_through_loss);
     ("rpc times out", `Quick, rpc_times_out);
     ("rpc duplicate replies dropped", `Quick, rpc_duplicate_replies_dropped);
+    ("rpc heap tracks outstanding calls", `Quick, rpc_heap_tracks_outstanding_calls);
+    ("rpc reply after retransmit", `Quick, rpc_reply_after_retransmit);
+    ("rpc timeout leaves nothing", `Quick, rpc_timeout_leaves_nothing);
+    ("rpc reply inside send", `Quick, rpc_reply_inside_send);
+    ("rpc rejects an outstanding xid", `Quick, rpc_rejects_outstanding_xid);
   ]

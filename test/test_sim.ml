@@ -53,6 +53,117 @@ let min_under_interleaved_schedule_step =
             | _ -> false)
         ops)
 
+(* Timers and cancellation against a sorted-list model: random
+   interleavings of schedule, timer, cancel (of any handle ever made —
+   live, fired, already cancelled, or naming a recycled cell) and step.
+   Survivors fire in exact (time, seq) order, cancelled events never
+   fire, and [pending] counts exactly the live events throughout. *)
+type timer_op = Sched of int | Arm of int | Cancel of int | Step
+
+let timer_cancel_matches_model =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (2, map (fun d -> Sched d) (int_range 0 20));
+          (3, map (fun d -> Arm d) (int_range 0 20));
+          (3, map (fun k -> Cancel k) (int_range 0 1000));
+          (3, pure Step);
+        ])
+  in
+  qtest "timer/cancel against a sorted-list model" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 120) op)
+    (fun ops ->
+      let eng = Engine.create () in
+      let log = ref [] and expected = ref [] in
+      let live = ref [] and handles = ref [||] and seq = ref 0 in
+      let add d =
+        let key = (Engine.now eng +. (0.5 *. float_of_int d), !seq) in
+        incr seq;
+        live := List.merge compare [ key ] !live;
+        (key, 0.5 *. float_of_int d, fun () -> log := key :: !log)
+      in
+      let ok =
+        List.for_all
+          (fun op ->
+            let step_ok =
+              match op with
+              | Sched d ->
+                  let _, delay, fn = add d in
+                  Engine.schedule eng delay fn;
+                  true
+              | Arm d ->
+                  let key, delay, fn = add d in
+                  handles := Array.append !handles [| (Engine.timer eng delay fn, key) |];
+                  true
+              | Cancel k ->
+                  let n = Array.length !handles in
+                  if n > 0 then begin
+                    let h, key = !handles.(k mod n) in
+                    Engine.cancel eng h;
+                    live := List.filter (fun k -> k <> key) !live
+                  end;
+                  true
+              | Step -> (
+                  match (Engine.step eng, !live) with
+                  | false, [] -> true
+                  | true, m :: rest ->
+                      live := rest;
+                      expected := m :: !expected;
+                      Engine.now eng = fst m && (match !log with k :: _ -> k = m | [] -> false)
+                  | _ -> false)
+            in
+            step_ok && Engine.pending eng = List.length !live)
+          ops
+      in
+      let survivors = !live in
+      Engine.run eng;
+      ok
+      && List.rev !log = List.rev_append !expected survivors
+      && Engine.pending eng = 0)
+
+let cancel_stale_handles () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let note x () = fired := x :: !fired in
+  Engine.cancel eng Engine.no_timer;
+  let a = Engine.timer eng 1.0 (note "a") in
+  check_bool "step fires a" true (Engine.step eng);
+  (* the fired cell is recycled for b: a's stale handle must miss it *)
+  let b = Engine.timer eng 1.0 (note "b") in
+  Engine.cancel eng a;
+  check_int "b survives a's stale handle" 1 (Engine.pending eng);
+  Engine.cancel eng b;
+  Engine.cancel eng b;
+  check_int "b cancelled once" 0 (Engine.pending eng);
+  let c = Engine.timer eng 1.0 (note "c") in
+  Engine.cancel eng b;
+  Engine.cancel eng Engine.no_timer;
+  check_int "c survives b's stale handle" 1 (Engine.pending eng);
+  Engine.run eng;
+  Engine.cancel eng c;
+  check_bool "a then c fired" true (List.rev !fired = [ "a"; "c" ]);
+  check_float "clock at c" 2.0 (Engine.now eng)
+
+(* Cancelling from the middle of a deep heap keeps the rest in order. *)
+let cancel_inside_heap () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let hs =
+    Array.init 64 (fun i ->
+        let d = float_of_int ((i * 37) mod 64) in
+        Engine.timer eng d (fun () -> fired := i :: !fired))
+  in
+  Array.iteri (fun i h -> if i mod 3 = 0 then Engine.cancel eng h) hs;
+  check_int "two thirds left" 42 (Engine.pending eng);
+  Engine.run eng;
+  let expected =
+    List.init 64 Fun.id
+    |> List.filter (fun i -> i mod 3 <> 0)
+    |> List.sort (fun a b -> compare ((a * 37) mod 64) ((b * 37) mod 64))
+  in
+  check_bool "survivors in time order" true (List.rev !fired = expected)
+
 let schedule_past_clamps () =
   let eng = Engine.create () in
   let at = ref 0.0 in
@@ -194,6 +305,19 @@ let fiber_timeout () =
   in
   check_bool "completed" true (r = Some `Fast)
 
+(* When [f] wins, the limit timer leaves the queue with it: the run ends
+   at [f]'s finish, not at the limit. *)
+let fiber_timeout_cancels_limit () =
+  let eng = Engine.create () in
+  let r = ref None in
+  Engine.spawn eng (fun () ->
+      r := Fiber.timeout eng 10.0 (fun () ->
+          Engine.sleep eng 0.5;
+          `Fast));
+  Engine.run eng;
+  check_bool "completed" true (!r = Some `Fast);
+  check_float "run ends at the finish" 0.5 (Engine.now eng)
+
 let parallel_window_bounds () =
   let eng = Engine.create () in
   let inflight = ref 0 in
@@ -229,6 +353,9 @@ let suite =
     ("event ordering", `Quick, event_ordering);
     drains_in_time_then_fifo_order;
     min_under_interleaved_schedule_step;
+    timer_cancel_matches_model;
+    ("cancel stale handles", `Quick, cancel_stale_handles);
+    ("cancel inside heap", `Quick, cancel_inside_heap);
     ("schedule past clamps", `Quick, schedule_past_clamps);
     ("run ~until", `Quick, run_until);
     ("run ~until advances clock", `Quick, run_until_advances_clock);
@@ -242,6 +369,7 @@ let suite =
     ("fiber join_all", `Quick, fiber_join_all);
     ("fiber join empty", `Quick, fiber_join_empty);
     ("fiber timeout", `Quick, fiber_timeout);
+    ("fiber timeout cancels its limit", `Quick, fiber_timeout_cancels_limit);
     ("parallel_window bounds", `Quick, parallel_window_bounds);
     ("parallel_window order", `Quick, parallel_window_order);
     ("parallel_window zero items", `Quick, parallel_window_zero);

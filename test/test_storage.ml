@@ -206,6 +206,24 @@ let coord_intent_complete () =
       check_int "none pending" 0 (Coordinator.pending_intents rig.coord);
       check_int "no redo needed" 0 (Coordinator.redos rig.coord))
 
+(* Retiring an intent cancels its probe: with a one-minute probe the
+   run ends when the last reply lands, not a minute later. *)
+let coord_complete_cancels_probe () =
+  let rig = mk_rig ~probe_timeout:60.0 () in
+  run_on rig.eng (fun () ->
+      let fh = reg_fh 12 in
+      let sites = Array.to_list (Array.map Obsd.addr rig.nodes) in
+      ignore
+        (ctrl_call rig
+           (Ctrl.Intent { op_id = 4321L; kind = Ctrl.K_mirror_write; fh; participants = sites }));
+      ignore (ctrl_call rig (Ctrl.Complete { op_id = 4321L })));
+  check_int "retired" 0 (Coordinator.pending_intents rig.coord);
+  check_int "no redo" 0 (Coordinator.redos rig.coord);
+  check_bool
+    (Printf.sprintf "no probe left queued (run ended at %.3f s)" (Engine.now rig.eng))
+    true
+    (Engine.now rig.eng < 1.0)
+
 let coord_probe_redoes_abandoned_intent () =
   let rig = mk_rig ~probe_timeout:0.2 () in
   run_on rig.eng (fun () ->
@@ -296,6 +314,7 @@ let suite =
     ("coordinator orchestrated remove", `Quick, coord_orchestrated_remove);
     ("coordinator commit file", `Quick, coord_commit_file);
     ("coordinator intent/complete", `Quick, coord_intent_complete);
+    ("coordinator completion cancels its probe", `Quick, coord_complete_cancels_probe);
     ("coordinator probe redoes abandoned intent", `Quick, coord_probe_redoes_abandoned_intent);
     ("coordinator crash recovery redoes", `Quick, coord_crash_recovery_redoes);
     ("coordinator completion survives crash", `Quick, coord_completion_survives_crash);

@@ -3,6 +3,7 @@ module Prng = Slice_util.Prng
 module Stats = Slice_util.Stats
 module Lru = Slice_util.Lru
 module Json = Slice_util.Json
+module Xid_index = Slice_util.Xid_index
 
 (* ---- Prng ---- *)
 
@@ -318,6 +319,102 @@ let json_accessors () =
       | _ -> Alcotest.fail "ns_per_op missing")
   | _ -> Alcotest.fail "micro missing"
 
+(* ---- Xid_index ---- *)
+
+(* Every key of the universe agrees with the model. *)
+let xidx_agrees idx model universe =
+  List.for_all
+    (fun k ->
+      Xid_index.find idx k = Option.value (Hashtbl.find_opt model k) ~default:(-1))
+    universe
+  && Xid_index.length idx = Hashtbl.length model
+
+(* Random insert/find/delete over a small index and a key range about
+   five times its table, so homes collide and probe runs wrap past the
+   end of the table all the time. *)
+let xidx_matches_hashtbl =
+  qtest "xid index against a Hashtbl model" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 200) (triple (int_range 0 2) (int_range 0 80) nat))
+    (fun ops ->
+      let idx = Xid_index.create 8 in
+      let model = Hashtbl.create 16 in
+      let universe = List.init 81 Fun.id in
+      List.for_all
+        (fun (kind, key, v) ->
+          (match kind with
+          | 0 ->
+              if Hashtbl.mem model key || Hashtbl.length model >= Xid_index.capacity idx then
+                (match Xid_index.add idx key v with
+                | () -> Alcotest.fail "add accepted a bound key or a full index"
+                | exception Invalid_argument _ -> ())
+              else begin
+                Xid_index.add idx key v;
+                Hashtbl.replace model key v
+              end
+          | 1 ->
+              Xid_index.remove idx key;
+              Hashtbl.remove model key
+          | _ -> ());
+          xidx_agrees idx model universe)
+        ops)
+
+(* Keys whose probe starts at [home], smallest first. *)
+let keys_homed idx home n =
+  let rec go k acc =
+    if List.length acc = n then List.rev acc
+    else go (k + 1) (if Xid_index.home idx k = home then k :: acc else acc)
+  in
+  go 0 []
+
+(* A run that starts in the last cell wraps to the front, where it meets
+   a run homed at cell 0: every deletion order must back-shift the rest
+   so each survivor stays reachable from its home. *)
+let xidx_wrapping_chains () =
+  let fresh () = Xid_index.create 4 in
+  let idx = fresh () in
+  let size = 2 * Xid_index.capacity idx in
+  let last = keys_homed idx (size - 1) 2 and first = keys_homed idx 0 2 in
+  let keys = last @ first in
+  let rec perms = function
+    | [] -> [ [] ]
+    | l -> List.concat_map (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l))) l
+  in
+  List.iter
+    (fun order ->
+      let idx = fresh () in
+      let model = Hashtbl.create 4 in
+      List.iteri
+        (fun v k ->
+          Xid_index.add idx k v;
+          Hashtbl.replace model k v)
+        keys;
+      List.iter
+        (fun k ->
+          Xid_index.remove idx k;
+          Hashtbl.remove model k;
+          check_bool "survivors reachable after a back-shift" true
+            (xidx_agrees idx model (keys @ [ 1000 ])))
+        order)
+    (perms keys);
+  check_int "bindings never exceed capacity" 4 (Xid_index.capacity idx)
+
+let xidx_grow_and_clear () =
+  let idx = Xid_index.create 2 in
+  Xid_index.add idx 7 70;
+  Xid_index.add idx 9 90;
+  Alcotest.check_raises "full" (Invalid_argument "Xid_index.add: full") (fun () ->
+      Xid_index.add idx 11 110);
+  Xid_index.grow idx;
+  Xid_index.add idx 11 110;
+  check_int "capacity doubled" 4 (Xid_index.capacity idx);
+  check_bool "bindings survive the rehash" true
+    (List.map (Xid_index.find idx) [ 7; 9; 11; 13 ] = [ 70; 90; 110; -1 ]);
+  Alcotest.check_raises "negative xid" (Invalid_argument "Xid_index.add: negative xid")
+    (fun () -> Xid_index.add idx (-1) 0);
+  Xid_index.clear idx;
+  check_int "cleared" 0 (Xid_index.length idx);
+  check_int "nothing found" (-1) (Xid_index.find idx 7)
+
 let suite =
   [
     ("prng deterministic", `Quick, prng_deterministic);
@@ -347,4 +444,7 @@ let suite =
     ("json roundtrip", `Quick, json_roundtrip);
     ("json parse errors", `Quick, json_parse_errors);
     ("json accessors", `Quick, json_accessors);
+    xidx_matches_hashtbl;
+    ("xid index wrapping chains", `Quick, xidx_wrapping_chains);
+    ("xid index grow and clear", `Quick, xidx_grow_and_clear);
   ]
