@@ -153,11 +153,6 @@ val meta_cache_stats : t -> meta_cache_stats
 (** Metadata fast-path counters. Requests the fast path answers never
     reach a directory server — the offload the cache exists to provide. *)
 
-val name_cache_entries : t -> int
-val map_cache_entries : t -> int
-(** Current entry counts of the name and block-map caches (both bounded
-    by [Params.name_cache_capacity] / [Params.map_cache_capacity]). *)
-
 val fence_invalidations : t -> int
 (** Times a routing-table fencing-epoch advance flushed the metadata
     caches (a manager takeover deposed the incarnation the entries came

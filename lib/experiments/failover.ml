@@ -30,7 +30,7 @@ module Metrics = Slice_util.Metrics
 module Net = Slice_net.Net
 module Rpc = Slice_net.Rpc
 module Host = Slice_storage.Host
-module Obsd = Slice_storage.Obsd
+module Tenure = Slice_storage.Tenure
 module Ctrl = Slice_storage.Ctrl
 module Coordinator = Slice_storage.Coordinator
 module Client = Slice_workload.Client
@@ -39,16 +39,9 @@ module Fo = Slice_failover.Failover
 module Dirserver = Slice_dir.Dirserver
 module Smallfile = Slice_smallfile.Smallfile
 module Ensemble = Slice.Ensemble
-module Table = Slice.Table
 module Proxy = Slice.Proxy
 
-let small_bytes = 4096
-let chunk = 32768
 let big_chunks = 4
-
-type entry = { e_dir : Fh.t; e_name : string; e_fh : Fh.t }
-
-type fileset = { fs_dirs : Fh.t array; fs_small : entry array; fs_big : entry array }
 
 type phase = {
   ph_label : string;
@@ -64,7 +57,7 @@ type zombie = {
   z_update_blocked : bool;  (** the mutation sent to the zombie left no trace *)
 }
 
-type audit = { aud_checked : int; aud_lost : int; aud_ownership_violations : int }
+type audit = Fileset.audit = { aud_checked : int; aud_lost : int; aud_ownership_violations : int }
 
 type takeover = {
   tk_class : string;
@@ -86,50 +79,6 @@ type t = {
   fo_metrics : Json.t;
 }
 
-let build_fileset cl ~root ~proc ~small ~big =
-  let fail what st = failwith ("failover setup " ^ what ^ ": " ^ Nfs.status_name st) in
-  let top =
-    match Client.mkdir cl root (Printf.sprintf "fo%02d" proc) with
-    | Ok (fh, _) -> fh
-    | Error st -> fail "mkdir" st
-  in
-  let ndirs = max 2 (small / 24) in
-  let dirs =
-    Array.init ndirs (fun i ->
-        if i = 0 then top
-        else
-          match Client.mkdir cl top (Printf.sprintf "d%03d" i) with
-          | Ok (fh, _) -> fh
-          | Error st -> fail "mkdir2" st)
-  in
-  let fs_small =
-    Array.init small (fun i ->
-        let dir = dirs.(i mod ndirs) in
-        let name = Printf.sprintf "f%04d" i in
-        match Client.create_file cl dir name with
-        | Ok (fh, _) ->
-            ignore (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic small_bytes) ());
-            ignore (Client.commit cl fh);
-            { e_dir = dir; e_name = name; e_fh = fh }
-        | Error st -> fail "create" st)
-  in
-  let fs_big =
-    Array.init big (fun i ->
-        let name = Printf.sprintf "g%02d" i in
-        match Client.create_file cl top name with
-        | Ok (fh, _) ->
-            for c = 0 to big_chunks - 1 do
-              ignore
-                (Client.write_at cl fh
-                   ~off:(Int64.of_int (c * chunk))
-                   ~data:(Nfs.Synthetic chunk) ())
-            done;
-            ignore (Client.commit cl fh);
-            { e_dir = top; e_name = name; e_fh = fh }
-        | Error st -> fail "create big" st)
-  in
-  { fs_dirs = dirs; fs_small; fs_big }
-
 type op = O_lookup | O_getattr | O_readdir | O_sread | O_swrite | O_bread | O_bwrite | O_bcommit
 
 let op_mix =
@@ -144,108 +93,34 @@ let op_mix =
     (4.0, O_bcommit);
   |]
 
-let pick_small prng fs =
-  let n = Array.length fs.fs_small in
-  let hot = max 1 (n / 5) in
-  if Prng.float prng 1.0 < 0.8 then fs.fs_small.(Prng.int prng hot)
-  else fs.fs_small.(Prng.int prng n)
-
-let pick_big prng fs = fs.fs_big.(Prng.int prng (Array.length fs.fs_big))
-
-(* chunks >= 2 sit above the small-file threshold: storage-class I/O *)
-let big_off prng = Int64.of_int ((2 + Prng.int prng (big_chunks - 2)) * chunk)
-
 let one_op cl prng fs =
   match Prng.weighted prng op_mix with
   | O_lookup ->
-      let f = pick_small prng fs in
+      let f = Fileset.pick_small prng fs in
       Result.is_error (Client.lookup cl f.e_dir f.e_name)
   | O_getattr ->
-      let f = pick_small prng fs in
+      let f = Fileset.pick_small prng fs in
       Result.is_error (Client.getattr cl f.e_fh)
   | O_readdir ->
       let d = fs.fs_dirs.(Prng.int prng (Array.length fs.fs_dirs)) in
       Result.is_error (Client.call cl (Nfs.Readdir (d, 0L, 24)))
   | O_sread ->
-      let f = pick_small prng fs in
-      Result.is_error (Client.read_at cl f.e_fh ~off:0L ~count:small_bytes)
+      let f = Fileset.pick_small prng fs in
+      Result.is_error (Client.read_at cl f.e_fh ~off:0L ~count:Fileset.small_bytes)
   | O_swrite ->
-      let f = pick_small prng fs in
+      let f = Fileset.pick_small prng fs in
       Result.is_error
-        (Client.write_at cl f.e_fh ~off:0L ~data:(Nfs.Synthetic small_bytes) ())
+        (Client.write_at cl f.e_fh ~off:0L ~data:(Nfs.Synthetic Fileset.small_bytes) ())
   | O_bread ->
-      let g = pick_big prng fs in
-      Result.is_error (Client.read_at cl g.e_fh ~off:(big_off prng) ~count:chunk)
+      let g = Fileset.pick_big prng fs in
+      Result.is_error (Client.read_at cl g.e_fh ~off:(Fileset.big_off prng ~big_chunks) ~count:Fileset.chunk)
   | O_bwrite ->
-      let g = pick_big prng fs in
+      let g = Fileset.pick_big prng fs in
       Result.is_error
-        (Client.write_at cl g.e_fh ~off:(big_off prng) ~data:(Nfs.Synthetic chunk) ())
+        (Client.write_at cl g.e_fh ~off:(Fileset.big_off prng ~big_chunks) ~data:(Nfs.Synthetic Fileset.chunk) ())
   | O_bcommit ->
-      let g = pick_big prng fs in
+      let g = Fileset.pick_big prng fs in
       Result.is_error (Client.commit cl g.e_fh)
-
-(* Post-run audit: the takeovers lost nothing — every acked name still
-   resolves, every committed byte reads back, and every logical site of
-   every class has exactly one owner, published by the routing table. *)
-let run_audit ens cls (filesets : fileset array) =
-  let checked = ref 0 and lost = ref 0 in
-  Array.iteri
-    (fun p fs ->
-      let c = cls.(p) in
-      Array.iter
-        (fun f ->
-          incr checked;
-          (match Client.lookup c f.e_dir f.e_name with
-          | Ok (fh, _) when Int64.equal fh.Fh.file_id f.e_fh.Fh.file_id -> ()
-          | _ -> incr lost);
-          incr checked;
-          match Client.read_at c f.e_fh ~off:0L ~count:small_bytes with
-          | Ok (d, _) when Nfs.wdata_length d = small_bytes -> ()
-          | _ -> incr lost)
-        fs.fs_small;
-      Array.iter
-        (fun g ->
-          for ci = 0 to big_chunks - 1 do
-            incr checked;
-            match
-              Client.read_at c g.e_fh ~off:(Int64.of_int (ci * chunk)) ~count:chunk
-            with
-            | Ok (d, _) when Nfs.wdata_length d = chunk -> ()
-            | _ -> incr lost
-          done)
-        fs.fs_big)
-    filesets;
-  let viol = ref 0 in
-  let check_class table owners addr_of n =
-    for j = 0 to Table.nsites table - 1 do
-      let os = List.filter (fun i -> List.mem j (owners i)) (List.init n Fun.id) in
-      match os with
-      | [ o ] -> if Table.lookup table j <> addr_of o then incr viol
-      | _ -> incr viol
-    done
-  in
-  let dirs = Ensemble.dirs ens in
-  check_class (Ensemble.dir_table ens)
-    (fun i -> Dirserver.owned_sites dirs.(i))
-    (fun i -> Dirserver.addr dirs.(i))
-    (Array.length dirs);
-  (match Ensemble.smallfile_table ens with
-  | None -> ()
-  | Some tbl ->
-      let sfs = Ensemble.smallfiles ens in
-      check_class tbl
-        (fun i -> Smallfile.owned_sites sfs.(i))
-        (fun i -> Smallfile.addr sfs.(i))
-        (Array.length sfs));
-  (match Ensemble.storage_table ens with
-  | None -> ()
-  | Some tbl ->
-      let sts = Ensemble.storage ens in
-      check_class tbl
-        (fun i -> Obsd.owned_sites sts.(i))
-        (fun i -> Obsd.addr sts.(i))
-        (Array.length sts));
-  { aud_checked = !checked; aud_lost = !lost; aud_ownership_violations = !viol }
 
 let compute ?(scale = 1.0) ?(seed = 42) () =
   let clients = 3 in
@@ -301,14 +176,14 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
       Fiber.join_all eng
         (List.init clients (fun p () ->
              filesets.(p) <-
-               Some (build_fileset cls.(p) ~root:Fh.root ~proc:p ~small ~big)));
+               Some (Fileset.build cls.(p) ~tag:"fo" ~proc:p ~small ~big ~big_chunks)));
       let filesets = Array.map Option.get filesets in
       (* Probe a revived victim directly (no µproxy): the lease it lost
          fences every request, and the mutation leaves no trace. *)
-      let probe_zombie name addr fences check_absent =
+      let probe_zombie name addr tenure check_absent =
         let h = Host.create net ~name:("zprobe-" ^ name) () in
         let zc = Client.create h ~server:addr () in
-        let before = fences () in
+        let before = Tenure.fence_bounces tenure in
         let blocked =
           match Client.mkdir zc Fh.root ("zombie-" ^ name) with
           | Error _ -> true
@@ -318,7 +193,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         zombies :=
           {
             z_name = name;
-            z_bounces = fences () - before;
+            z_bounces = Tenure.fence_bounces tenure - before;
             z_update_blocked = blocked;
           }
           :: !zombies
@@ -338,7 +213,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         let d0 = (Ensemble.dirs ens).(0) in
         Ensemble.recover_dir ens 0;
         probe_zombie "dir" (Dirserver.addr d0)
-          (fun () -> Dirserver.fence_bounces d0)
+          (Dirserver.tenure d0)
           (fun () ->
             Result.is_error (Client.lookup cls.(0) Fh.root "zombie-dir"));
         Fo.rejoin_dir fo 0;
@@ -349,7 +224,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         let s0 = (Ensemble.smallfiles ens).(0) in
         Ensemble.recover_smallfile ens 0;
         probe_zombie "smallfile" (Smallfile.addr s0)
-          (fun () -> Smallfile.fence_bounces s0)
+          (Smallfile.tenure s0)
           (fun () ->
             Result.is_error (Client.lookup cls.(0) Fh.root "zombie-smallfile"));
         Fo.rejoin_smallfile fo 0;
@@ -361,7 +236,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         (* the deposed coordinator instance answers again — fenced *)
         let h = Host.create net ~name:"zprobe-coord" () in
         let rpc = Rpc.create net h.Host.addr ~port:1902 in
-        let before = Coordinator.fence_bounces old_coord in
+        let before = Tenure.fence_bounces (Coordinator.tenure old_coord) in
         let nacked =
           let xid = Rpc.fresh_xid rpc in
           match
@@ -376,7 +251,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         zombies :=
           {
             z_name = "coordinator";
-            z_bounces = Coordinator.fence_bounces old_coord - before;
+            z_bounces = Tenure.fence_bounces (Coordinator.tenure old_coord) - before;
             z_update_blocked = nacked;
           }
           :: !zombies;
@@ -400,7 +275,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         (controller
         :: List.concat (List.init clients (fun p -> List.init 2 (fun w -> worker p w))));
       (* audit before stopping the detector: it needs live leases *)
-      audit := run_audit ens cls filesets;
+      audit := Fileset.audit ens cls filesets ~big_chunks;
       Fo.stop fo);
   Engine.run eng;
   let phases =

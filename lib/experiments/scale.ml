@@ -17,7 +17,6 @@
 module Engine = Slice_sim.Engine
 module Fiber = Slice_sim.Fiber
 module Nfs = Slice_nfs.Nfs
-module Fh = Slice_nfs.Fh
 module Prng = Slice_util.Prng
 module Stats = Slice_util.Stats
 module Json = Slice_util.Json
@@ -25,29 +24,14 @@ module Metrics = Slice_util.Metrics
 module Client = Slice_workload.Client
 module Reconfig = Slice_reconfig.Reconfig
 module Plan = Slice_reconfig.Plan
-module Dirserver = Slice_dir.Dirserver
-module Smallfile = Slice_smallfile.Smallfile
-module Obsd = Slice_storage.Obsd
 module Ensemble = Slice.Ensemble
-module Table = Slice.Table
 module Proxy = Slice.Proxy
-
-let small_bytes = 4096
-let chunk = 32768 (* one stripe unit *)
 
 let big_chunks = 8
 (* 256 KB files; chunks >= 2 sit above the small-file threshold, so I/O
    there is storage-class *)
 
 let classes = [| "name"; "smallfile"; "storage" |]
-
-type entry = { e_dir : Fh.t; e_name : string; e_fh : Fh.t }
-
-type fileset = {
-  fs_dirs : Fh.t array;
-  fs_small : entry array;
-  fs_big : entry array;
-}
 
 type phase = {
   ph_label : string;
@@ -58,7 +42,7 @@ type phase = {
   ph_drain : int;  (** donor drain bounces during the window *)
 }
 
-type audit = {
+type audit = Fileset.audit = {
   aud_checked : int;
   aud_lost : int;
   aud_ownership_violations : int;
@@ -75,51 +59,6 @@ type t = {
   audit : audit;
   rc_metrics : Json.t;  (** reconfig registry dump at end of run *)
 }
-
-let build_fileset cl ~root ~proc ~small ~big =
-  let fail what st = failwith ("scale setup " ^ what ^ ": " ^ Nfs.status_name st) in
-  let top =
-    match Client.mkdir cl root (Printf.sprintf "sc%02d" proc) with
-    | Ok (fh, _) -> fh
-    | Error st -> fail "mkdir" st
-  in
-  let ndirs = max 2 (small / 24) in
-  let dirs =
-    Array.init ndirs (fun i ->
-        if i = 0 then top
-        else
-          match Client.mkdir cl top (Printf.sprintf "d%03d" i) with
-          | Ok (fh, _) -> fh
-          | Error st -> fail "mkdir2" st)
-  in
-  let fs_small =
-    Array.init small (fun i ->
-        let dir = dirs.(i mod ndirs) in
-        let name = Printf.sprintf "f%04d" i in
-        match Client.create_file cl dir name with
-        | Ok (fh, _) ->
-            ignore
-              (Client.write_at cl fh ~off:0L ~data:(Nfs.Synthetic small_bytes) ());
-            ignore (Client.commit cl fh);
-            { e_dir = dir; e_name = name; e_fh = fh }
-        | Error st -> fail "create" st)
-  in
-  let fs_big =
-    Array.init big (fun i ->
-        let name = Printf.sprintf "g%02d" i in
-        match Client.create_file cl top name with
-        | Ok (fh, _) ->
-            for c = 0 to big_chunks - 1 do
-              ignore
-                (Client.write_at cl fh
-                   ~off:(Int64.of_int (c * chunk))
-                   ~data:(Nfs.Synthetic chunk) ())
-            done;
-            ignore (Client.commit cl fh);
-            { e_dir = top; e_name = name; e_fh = fh }
-        | Error st -> fail "create big" st)
-  in
-  { fs_dirs = dirs; fs_small; fs_big }
 
 (* Mix over the three request classes: enough weight on each that every
    server addition relieves a loaded class. *)
@@ -147,32 +86,19 @@ let op_mix =
     (4.0, O_bcommit);
   |]
 
-(* 80/20 hot-set skew over the small files, as in the SPECsfs generator. *)
-let pick_small prng fs =
-  let n = Array.length fs.fs_small in
-  let hot = max 1 (n / 5) in
-  if Prng.float prng 1.0 < 0.8 then fs.fs_small.(Prng.int prng hot)
-  else fs.fs_small.(Prng.int prng n)
-
-let pick_big prng fs = fs.fs_big.(Prng.int prng (Array.length fs.fs_big))
-
-(* big-file offsets stay at chunks >= 2: above the threshold, so the
-   request is storage-class by construction *)
-let big_off prng = Int64.of_int ((2 + Prng.int prng (big_chunks - 2)) * chunk)
-
 (* Issue one op; returns the class index (0 name, 1 smallfile, 2 storage). *)
 let one_op cl prng fs =
   match Prng.weighted prng op_mix with
   | O_lookup ->
-      let f = pick_small prng fs in
+      let f = Fileset.pick_small prng fs in
       ignore (Client.lookup cl f.e_dir f.e_name);
       0
   | O_getattr ->
-      let f = pick_small prng fs in
+      let f = Fileset.pick_small prng fs in
       ignore (Client.getattr cl f.e_fh);
       0
   | O_access ->
-      let f = pick_small prng fs in
+      let f = Fileset.pick_small prng fs in
       ignore (Client.access cl f.e_fh);
       0
   | O_readdir ->
@@ -180,92 +106,26 @@ let one_op cl prng fs =
       ignore (Client.call cl (Nfs.Readdir (d, 0L, 24)));
       0
   | O_sread ->
-      let f = pick_small prng fs in
-      ignore (Client.read_at cl f.e_fh ~off:0L ~count:small_bytes);
+      let f = Fileset.pick_small prng fs in
+      ignore (Client.read_at cl f.e_fh ~off:0L ~count:Fileset.small_bytes);
       1
   | O_swrite ->
-      let f = pick_small prng fs in
-      ignore (Client.write_at cl f.e_fh ~off:0L ~data:(Nfs.Synthetic small_bytes) ());
+      let f = Fileset.pick_small prng fs in
+      ignore (Client.write_at cl f.e_fh ~off:0L ~data:(Nfs.Synthetic Fileset.small_bytes) ());
       1
   | O_bread ->
-      let g = pick_big prng fs in
-      ignore (Client.read_at cl g.e_fh ~off:(big_off prng) ~count:chunk);
+      let g = Fileset.pick_big prng fs in
+      ignore (Client.read_at cl g.e_fh ~off:(Fileset.big_off prng ~big_chunks) ~count:Fileset.chunk);
       2
   | O_bwrite ->
-      let g = pick_big prng fs in
+      let g = Fileset.pick_big prng fs in
       ignore
-        (Client.write_at cl g.e_fh ~off:(big_off prng) ~data:(Nfs.Synthetic chunk) ());
+        (Client.write_at cl g.e_fh ~off:(Fileset.big_off prng ~big_chunks) ~data:(Nfs.Synthetic Fileset.chunk) ());
       2
   | O_bcommit ->
-      let g = pick_big prng fs in
+      let g = Fileset.pick_big prng fs in
       ignore (Client.commit cl g.e_fh);
       2
-
-(* Post-run audit: all data and names survive the reconfigurations, and
-   the exactly-one-owner invariant holds for every logical site. *)
-let run_audit ens cls (filesets : fileset array) =
-  let checked = ref 0 and lost = ref 0 in
-  Array.iteri
-    (fun p fs ->
-      let c = cls.(p) in
-      Array.iter
-        (fun f ->
-          incr checked;
-          (match Client.lookup c f.e_dir f.e_name with
-          | Ok (fh, _) when Int64.equal fh.Fh.file_id f.e_fh.Fh.file_id -> ()
-          | _ -> incr lost);
-          incr checked;
-          match Client.read_at c f.e_fh ~off:0L ~count:small_bytes with
-          | Ok (d, _) when Nfs.wdata_length d = small_bytes -> ()
-          | _ -> incr lost)
-        fs.fs_small;
-      Array.iter
-        (fun g ->
-          for ci = 0 to big_chunks - 1 do
-            incr checked;
-            match
-              Client.read_at c g.e_fh ~off:(Int64.of_int (ci * chunk)) ~count:chunk
-            with
-            | Ok (d, _) when Nfs.wdata_length d = chunk -> ()
-            | _ -> incr lost
-          done)
-        fs.fs_big)
-    filesets;
-  let viol = ref 0 in
-  let check_class table owners addr_of n =
-    for j = 0 to Table.nsites table - 1 do
-      let os = List.filter (fun i -> List.mem j (owners i)) (List.init n Fun.id) in
-      match os with
-      | [ o ] -> if Table.lookup table j <> addr_of o then incr viol
-      | _ -> incr viol
-    done
-  in
-  let dirs = Ensemble.dirs ens in
-  check_class (Ensemble.dir_table ens)
-    (fun i -> Dirserver.owned_sites dirs.(i))
-    (fun i -> Dirserver.addr dirs.(i))
-    (Array.length dirs);
-  (match Ensemble.smallfile_table ens with
-  | None -> ()
-  | Some tbl ->
-      let sfs = Ensemble.smallfiles ens in
-      check_class tbl
-        (fun i -> Smallfile.owned_sites sfs.(i))
-        (fun i -> Smallfile.addr sfs.(i))
-        (Array.length sfs));
-  (match Ensemble.storage_table ens with
-  | None -> ()
-  | Some tbl ->
-      let sts = Ensemble.storage ens in
-      check_class tbl
-        (fun i -> Obsd.owned_sites sts.(i))
-        (fun i -> Obsd.addr sts.(i))
-        (Array.length sts));
-  {
-    aud_checked = !checked;
-    aud_lost = !lost;
-    aud_ownership_violations = !viol;
-  }
 
 let compute ?(scale = 1.0) ?(seed = 42) () =
   let clients = 4 in
@@ -329,7 +189,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
       Fiber.join_all eng
         (List.init clients (fun p () ->
              filesets.(p) <-
-               Some (build_fileset cls.(p) ~root:Fh.root ~proc:p ~small ~big)));
+               Some (Fileset.build cls.(p) ~tag:"sc" ~proc:p ~small ~big ~big_chunks)));
       let filesets = Array.map Option.get filesets in
       let controller () =
         for i = 0 to nphases - 1 do
@@ -364,7 +224,7 @@ let compute ?(scale = 1.0) ?(seed = 42) () =
         (controller
         :: List.concat
              (List.init clients (fun p -> List.init 2 (fun w -> worker p w))));
-      audit := run_audit ens cls filesets);
+      audit := Fileset.audit ens cls filesets ~big_chunks);
   Engine.run eng;
   let phases =
     List.init nphases (fun i ->

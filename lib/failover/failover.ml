@@ -33,6 +33,7 @@ module Enc = Slice_xdr.Xdr.Enc
 module Dec = Slice_xdr.Xdr.Dec
 module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
+module Tenure = Slice_storage.Tenure
 module Coordinator = Slice_storage.Coordinator
 module Nfs_endpoint = Slice_storage.Nfs_endpoint
 module Dirserver = Slice_dir.Dirserver
@@ -194,7 +195,7 @@ let record_takeover t tg ~kname ~victim ~standby ~sites ~declared =
 
 let takeover_manager t tg k ~victim ~declared =
   let kname = Plan.klass_name k in
-  let n, live, load, grant, tbl =
+  let n, live, tenure, tbl =
     match k with
     | Plan.Dir ->
         let ds = Ensemble.dirs t.ens in
@@ -203,11 +204,7 @@ let takeover_manager t tg k ~victim ~declared =
             Dirserver.is_up ds.(j)
             && Net.node_up t.net (Dirserver.addr ds.(j))
             && not (is_deposed t (Dir j))),
-          (fun j ->
-            List.fold_left
-              (fun acc s -> acc + Dirserver.site_load ds.(j) s)
-              0 (Dirserver.owned_sites ds.(j))),
-          (fun j ~epoch ~until -> Dirserver.set_lease ds.(j) ~epoch ~until),
+          (fun j -> Dirserver.tenure ds.(j)),
           Ensemble.dir_table t.ens )
     | Plan.Smallfile ->
         let ss = Ensemble.smallfiles t.ens in
@@ -216,17 +213,13 @@ let takeover_manager t tg k ~victim ~declared =
             Smallfile.is_up ss.(j)
             && Net.node_up t.net (Smallfile.addr ss.(j))
             && not (is_deposed t (Smallfile j))),
-          (fun j ->
-            List.fold_left
-              (fun acc s -> acc + Smallfile.site_load ss.(j) s)
-              0 (Smallfile.owned_sites ss.(j))),
-          (fun j ~epoch ~until -> Smallfile.set_lease ss.(j) ~epoch ~until),
+          (fun j -> Smallfile.tenure ss.(j)),
           match Ensemble.smallfile_table t.ens with
           | Some tbl -> tbl
           | None -> invalid_arg "Failover: no small-file class" )
     | Plan.Storage -> invalid_arg "Failover: storage sites are not dataless"
   in
-  match pick_standby ~n ~victim ~live ~load with
+  match pick_standby ~n ~victim ~live ~load:(fun j -> Tenure.total_load (tenure j)) with
   | None -> Metrics.incr t.reg "failover.no_standby"
   | Some standby ->
       let sites = Reconfig.takeover t.rc k ~victim ~standby in
@@ -234,7 +227,7 @@ let takeover_manager t tg k ~victim ~declared =
          monitor keeps renewing from here. *)
       let until = Engine.now t.eng +. t.lease_dur in
       let epoch = Table.epoch tbl in
-      grant standby ~epoch ~until;
+      Tenure.set_lease (tenure standby) ~epoch ~until;
       (match
          find_target t
            (match k with
@@ -249,7 +242,7 @@ let takeover_manager t tg k ~victim ~declared =
 let coordinator_grant t ~epoch ~until =
   match Ensemble.coordinator t.ens with
   | Some c when Coordinator.is_up c ->
-      Coordinator.set_lease c ~epoch ~until;
+      Tenure.set_lease (Coordinator.tenure c) ~epoch ~until;
       true
   | _ -> false
 
@@ -295,7 +288,7 @@ let promote_coordinator t tg ~declared =
         | None -> ());
         install_endpoint t h (coordinator_grant_at t h.Host.addr);
         let until = Engine.now t.eng +. t.lease_dur in
-        Coordinator.set_lease c ~epoch:(current_epoch t tg) ~until;
+        Tenure.set_lease (Coordinator.tenure c) ~epoch:(current_epoch t tg) ~until;
         (* The coordinator target tracks the role, not the instance: the
            monitor resumes against the successor immediately. *)
         tg.max_granted <- until;
@@ -403,7 +396,7 @@ let attach ?(heartbeat = 0.05) ?(miss_limit = 3) ens rc =
     (fun i d ->
       let grant ~epoch ~until =
         if Dirserver.is_up d then begin
-          Dirserver.set_lease d ~epoch ~until;
+          Tenure.set_lease (Dirserver.tenure d) ~epoch ~until;
           true
         end
         else false
@@ -415,7 +408,7 @@ let attach ?(heartbeat = 0.05) ?(miss_limit = 3) ens rc =
     (fun i s ->
       let grant ~epoch ~until =
         if Smallfile.is_up s then begin
-          Smallfile.set_lease s ~epoch ~until;
+          Tenure.set_lease (Smallfile.tenure s) ~epoch ~until;
           true
         end
         else false
@@ -448,19 +441,26 @@ let resume tg until =
   tg.misses <- 0;
   tg.deposed <- false
 
+(* A rejoining server sheds every site the table bound elsewhere while it
+   was down: it stops owning the site, drops its copy and forgets its
+   load there. *)
+let shed tn tbl addr ~drop =
+  List.iter
+    (fun site ->
+      if Table.lookup tbl site <> addr then begin
+        Tenure.disown tn site;
+        drop site;
+        Tenure.reset_load tn site
+      end)
+    (Tenure.owned tn)
+
 let rejoin_dir t i =
   Ensemble.recover_dir t.ens i;
   let d = (Ensemble.dirs t.ens).(i) in
   let tbl = Ensemble.dir_table t.ens in
-  List.iter
-    (fun s ->
-      if Table.lookup tbl s <> Dirserver.addr d then begin
-        Dirserver.disown_site d s;
-        Dirserver.reset_site_load d s
-      end)
-    (Dirserver.owned_sites d);
+  shed (Dirserver.tenure d) tbl (Dirserver.addr d) ~drop:ignore;
   let until = Engine.now t.eng +. t.lease_dur in
-  Dirserver.set_lease d ~epoch:(Table.epoch tbl) ~until;
+  Tenure.set_lease (Dirserver.tenure d) ~epoch:(Table.epoch tbl) ~until;
   match find_target t (Dir i) with
   | Some tg -> resume tg until
   | None -> ()
@@ -470,15 +470,8 @@ let rejoin_smallfile t i =
   let s = (Ensemble.smallfiles t.ens).(i) in
   (match Ensemble.smallfile_table t.ens with
   | Some tbl ->
-      List.iter
-        (fun site ->
-          if Table.lookup tbl site <> Smallfile.addr s then begin
-            Smallfile.disown_site s site;
-            Smallfile.drop_site s site;
-            Smallfile.reset_site_load s site
-          end)
-        (Smallfile.owned_sites s);
-      Smallfile.set_lease s ~epoch:(Table.epoch tbl)
+      shed (Smallfile.tenure s) tbl (Smallfile.addr s) ~drop:(Smallfile.drop_site s);
+      Tenure.set_lease (Smallfile.tenure s) ~epoch:(Table.epoch tbl)
         ~until:(Engine.now t.eng +. t.lease_dur)
   | None -> ());
   let until = Engine.now t.eng +. t.lease_dur in

@@ -21,6 +21,7 @@ module Table = Slice.Table
 module Dirserver = Slice_dir.Dirserver
 module Smallfile = Slice_smallfile.Smallfile
 module Obsd = Slice_storage.Obsd
+module Tenure = Slice_storage.Tenure
 
 exception Abandoned
 
@@ -35,7 +36,8 @@ let setup_latency = 0.0005
 
 (* One vocabulary over the three server classes: everything migrate
    needs, closed over the ensemble so elastic growth (which replaces the
-   server arrays) is always visible. [prepare] runs at drain time and
+   server arrays) is always visible. Ownership, drains and per-site load
+   live in each server's [tenure]. [prepare] runs at drain time and
    returns an opaque cookie for [copy_commit] (the directory class
    snapshots the donor journal there for the two-pass replay);
    [copy_commit] runs inside the atomic commit step and returns the
@@ -45,16 +47,8 @@ type class_ops = {
   table : Table.t;
   nservers : unit -> int;
   addr : int -> Packet.addr;
-  begin_drain : int -> int -> unit;
-  end_drain : int -> int -> unit;
-  own : int -> int -> unit;
-  disown : int -> int -> unit;
+  tenure : int -> Tenure.t;
   drop : int -> int -> unit;
-  drop_load : int -> int -> unit;
-      (* forget a server's per-site load row without touching its data:
-         a donor's stale counter must not feed later rebalances *)
-  site_load : int -> int -> int;
-  drain_bounces : unit -> int;
   add_server : unit -> int;
   prepare : donor:int -> site:int -> string;
   copy_bytes : donor:int -> site:int -> cookie:string -> int64;
@@ -105,18 +99,10 @@ let dir_class ens =
     table = Ensemble.dir_table ens;
     nservers = (fun () -> Array.length (servers ()));
     addr = (fun i -> Dirserver.addr (servers ()).(i));
-    begin_drain = (fun i s -> Dirserver.begin_drain (servers ()).(i) s);
-    end_drain = (fun i s -> Dirserver.end_drain (servers ()).(i) s);
-    own = (fun i s -> Dirserver.own_site (servers ()).(i) s);
-    disown = (fun i s -> Dirserver.disown_site (servers ()).(i) s);
+    tenure = (fun i -> Dirserver.tenure (servers ()).(i));
     drop = (fun _ _ -> ());
     (* cells replayed into a receiver that never commits are inert:
        ownership gating keeps them unreachable *)
-    drop_load = (fun i s -> Dirserver.reset_site_load (servers ()).(i) s);
-    site_load = (fun i s -> Dirserver.site_load (servers ()).(i) s);
-    drain_bounces =
-      (fun () ->
-        Array.fold_left (fun a d -> a + Dirserver.drain_bounces d) 0 (servers ()));
     add_server = (fun () -> Ensemble.add_dir_server ens);
     prepare = (fun ~donor ~site:_ -> Dirserver.log_image (servers ()).(donor));
     copy_bytes =
@@ -144,18 +130,8 @@ let sf_class ens =
           table;
           nservers = (fun () -> Array.length (servers ()));
           addr = (fun i -> Smallfile.addr (servers ()).(i));
-          begin_drain = (fun i s -> Smallfile.begin_drain (servers ()).(i) s);
-          end_drain = (fun i s -> Smallfile.end_drain (servers ()).(i) s);
-          own = (fun i s -> Smallfile.own_site (servers ()).(i) s);
-          disown = (fun i s -> Smallfile.disown_site (servers ()).(i) s);
+          tenure = (fun i -> Smallfile.tenure (servers ()).(i));
           drop = (fun i s -> Smallfile.drop_site (servers ()).(i) s);
-          drop_load = (fun i s -> Smallfile.reset_site_load (servers ()).(i) s);
-          site_load = (fun i s -> Smallfile.site_load (servers ()).(i) s);
-          drain_bounces =
-            (fun () ->
-              Array.fold_left
-                (fun a d -> a + Smallfile.drain_bounces d)
-                0 (servers ()));
           add_server = (fun () -> Ensemble.add_smallfile_server ens);
           prepare = (fun ~donor:_ ~site:_ -> "");
           copy_bytes =
@@ -179,16 +155,8 @@ let st_class ens =
           table;
           nservers = (fun () -> Array.length (servers ()));
           addr = (fun i -> Obsd.addr (servers ()).(i));
-          begin_drain = (fun i s -> Obsd.begin_drain (servers ()).(i) s);
-          end_drain = (fun i s -> Obsd.end_drain (servers ()).(i) s);
-          own = (fun i s -> Obsd.own_site (servers ()).(i) s);
-          disown = (fun i s -> Obsd.disown_site (servers ()).(i) s);
+          tenure = (fun i -> Obsd.tenure (servers ()).(i));
           drop = (fun i s -> Obsd.drop_site (servers ()).(i) s);
-          drop_load = (fun i s -> Obsd.reset_site_load (servers ()).(i) s);
-          site_load = (fun i s -> Obsd.site_load (servers ()).(i) s);
-          drain_bounces =
-            (fun () ->
-              Array.fold_left (fun a d -> a + Obsd.drain_bounces d) 0 (servers ()));
           add_server = (fun () -> Ensemble.add_storage_node ens);
           prepare = (fun ~donor:_ ~site:_ -> "");
           copy_bytes =
@@ -204,6 +172,30 @@ let st_class ens =
 let class_list t =
   t.dir_ops :: List.filter_map Fun.id [ t.sf_ops; t.st_ops ]
 
+let drain_bounces t =
+  List.fold_left
+    (fun acc ops ->
+      List.fold_left ( + ) acc
+        (List.init (ops.nservers ()) (fun i -> Tenure.drain_bounces (ops.tenure i))))
+    0 (class_list t)
+
+(* The exactly-one-owner invariant: every logical site of every class is
+   owned by exactly one server, and the routing table publishes that
+   server's address. Counts the sites where it fails. *)
+let ownership_violations ens =
+  let classes = dir_class ens :: List.filter_map Fun.id [ sf_class ens; st_class ens ] in
+  List.fold_left
+    (fun viol ops ->
+      let servers = List.init (ops.nservers ()) Fun.id in
+      let viol = ref viol in
+      for j = 0 to Table.nsites ops.table - 1 do
+        match List.filter (fun i -> List.mem j (Tenure.owned (ops.tenure i))) servers with
+        | [ o ] when Table.lookup ops.table j = ops.addr o -> ()
+        | _ -> incr viol
+      done;
+      !viol)
+    0 classes
+
 (* Per-site load gauge: resolves the owner through the table at read
    time. Registered at attach and re-registered after every committed
    move — the remove/re-add pair retires whatever closure was behind the
@@ -212,14 +204,14 @@ let class_list t =
 let register_load_gauge t ops j =
   Metrics.gauge t.reg (load_key ops.kname j) (fun () ->
       let o = owner_of ops j in
-      if o < 0 then 0.0 else float_of_int (ops.site_load o j))
+      if o < 0 then 0.0 else float_of_int (Tenure.load (ops.tenure o) j))
 
 (* A committed move retires the donor-side accounting for the site: the
    donor's load row is reset (its traffic history moved with the site)
    and the registry entry is dropped and re-registered so nothing keeps
    answering with pre-move values. *)
 let retire_donor_load t ops ~donor ~site =
-  ops.drop_load donor site;
+  Tenure.reset_load (ops.tenure donor) site;
   Metrics.remove t.reg (load_key ops.kname site);
   register_load_gauge t ops site
 
@@ -249,9 +241,7 @@ let attach ?(bandwidth = 50e6) ?trace ens =
   Metrics.gauge reg "reconfig.sites_moved" (fun () -> float_of_int t.n_moved);
   Metrics.gauge reg "reconfig.aborted" (fun () -> float_of_int t.n_aborted);
   Metrics.gauge reg "reconfig.bytes_copied" (fun () -> Int64.to_float t.n_bytes);
-  Metrics.gauge reg "reconfig.drain_bounces" (fun () ->
-      float_of_int
-        (List.fold_left (fun a o -> a + o.drain_bounces ()) 0 (class_list t)));
+  Metrics.gauge reg "reconfig.drain_bounces" (fun () -> float_of_int (drain_bounces t));
   List.iter
     (fun ops ->
       for j = 0 to Table.nsites ops.table - 1 do
@@ -266,9 +256,6 @@ let sites_moved t = t.n_moved
 let aborted t = t.n_aborted
 let bytes_copied t = t.n_bytes
 let log_image t = Wal.image t.wal
-
-let drain_bounces t =
-  List.fold_left (fun a o -> a + o.drain_bounces ()) 0 (class_list t)
 
 (* One site move, intend -> drain -> copy -> commit/abort. Runs in the
    caller's fiber; only the copy sleep gives up the simulated clock. *)
@@ -285,7 +272,7 @@ let migrate ?abandon t ops ~site ~donor ~recv =
     (Wal.append t.wal ~rtype:rt_begin
        (Printf.sprintf "%d %s %d %d %d" op_id ops.kname site donor recv));
   Wal.sync t.wal;
-  ops.begin_drain donor site;
+  Tenure.begin_drain (ops.tenure donor) site;
   (match abandon with Some `After_begin -> raise Abandoned | None -> ());
   let cookie = ops.prepare ~donor ~site in
   let est = ops.copy_bytes ~donor ~site ~cookie in
@@ -294,9 +281,8 @@ let migrate ?abandon t ops ~site ~donor ~recv =
   if Net.node_up t.net (ops.addr donor) && Net.node_up t.net (ops.addr recv)
   then begin
     let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
-    ops.own recv site;
-    ops.end_drain donor site;
-    ops.disown donor site;
+    Tenure.own (ops.tenure recv) site;
+    Tenure.disown (ops.tenure donor) site;
     ops.drop donor site;
     retire_donor_load t ops ~donor ~site;
     set_site ops site (ops.addr recv);
@@ -309,7 +295,7 @@ let migrate ?abandon t ops ~site ~donor ~recv =
   else begin
     (* donor or receiver is down: the site stays wholly on the donor
        (a donor crash already cleared its volatile drain mark) *)
-    ops.end_drain donor site;
+    Tenure.end_drain (ops.tenure donor) site;
     ignore (Wal.append t.wal ~rtype:rt_abort (string_of_int op_id));
     Wal.sync t.wal;
     t.n_aborted <- t.n_aborted + 1;
@@ -341,7 +327,7 @@ let takeover_site t ops ~site ~donor ~recv =
   Engine.sleep t.eng (setup_latency +. (Int64.to_float est /. t.bandwidth));
   if Net.node_up t.net (ops.addr recv) then begin
     let bytes = ops.copy_commit ~donor ~recv ~site ~cookie in
-    ops.own recv site;
+    Tenure.own (ops.tenure recv) site;
     retire_donor_load t ops ~donor ~site;
     set_site ops site (ops.addr recv);
     ignore (Wal.append t.wal ~rtype:rt_commit (string_of_int op_id));
@@ -508,12 +494,12 @@ let recover t =
           | Some ops ->
               let n = ops.nservers () in
               if donor >= 0 && donor < n then begin
-                ops.end_drain donor site;
-                ops.own donor site;
+                Tenure.end_drain (ops.tenure donor) site;
+                Tenure.own (ops.tenure donor) site;
                 set_site ops site (ops.addr donor)
               end;
               if recv >= 0 && recv < n && recv <> donor then begin
-                ops.disown recv site;
+                Tenure.disown (ops.tenure recv) site;
                 ops.drop recv site
               end);
           t.n_aborted <- t.n_aborted + 1;

@@ -130,6 +130,11 @@ val drain_bounces : t -> int
 (** Mutations bounced by draining donors, summed over all servers of
     all classes. *)
 
+val ownership_violations : Slice.Ensemble.t -> int
+(** Logical sites, over every class the ensemble runs, that are not
+    owned by exactly one server whose address the routing table
+    publishes — the exactly-one-owner audit; 0 on a healthy ensemble. *)
+
 val log_image : t -> string
 (** The intent log's byte image (tests inspect it; a real deployment
     would keep it on the coordinator's stable storage). *)

@@ -35,16 +35,8 @@ type t = {
   mutable completed_count : int;
   mutable redo_count : int;
   mutable up : bool;
-  (* Fencing lease (failover): an expired lease wedges the coordinator —
-     control messages get Nack, probes/redo stop — so a zombie deposed by
-     a takeover cannot drive 2PC against the new incarnation. Defaults
-     (infinite lease, epoch 0) keep standalone coordinators unfenced. *)
-  mutable lease_until : float;
-  mutable lease_epoch : int;
-  mutable fence_bounces : int;
+  tenure : Tenure.t; (* the fencing lease only: a coordinator owns no sites *)
 }
-
-let wedged t = Engine.now t.host.Host.eng > t.lease_until
 
 let cpu_cost = 25e-6
 
@@ -102,7 +94,7 @@ let retire t op_id (i : intent) =
    intent and re-arm the probe — a partitioned participant must still see
    its redo once the partition heals. *)
 let rec redo t op_id (i : intent) =
-  if (not i.completed) && not (wedged t) then begin
+  if (not i.completed) && not (Tenure.wedged t.tenure) then begin
     t.redo_count <- t.redo_count + 1;
     if fan_out t (nfs_call_for_redo i) i.participants then retire t op_id i
     else schedule_probe t op_id i
@@ -111,7 +103,7 @@ let rec redo t op_id (i : intent) =
 and schedule_probe t op_id (i : intent) =
   i.probe <-
     Engine.timer t.host.Host.eng t.probe_timeout (fun () ->
-      if t.up && not (wedged t) then
+      if t.up && not (Tenure.wedged t.tenure) then
         match Hashtbl.find_opt t.intents op_id with
         | Some i when not i.completed -> Engine.spawn t.host.Host.eng (fun () -> redo t op_id i)
         | _ -> ())
@@ -161,11 +153,11 @@ let handle_msg t (pkt : Packet.t) =
               Trace.finish span;
               Nfs_endpoint.reply_to t.host pkt (Ctrl.encode_reply ~xid r)
             in
-            if wedged t then begin
+            if Tenure.wedged t.tenure then begin
               (* Fenced: a deposed coordinator must refuse to log new
                  intentions or acknowledge anything — the requester backs
                  off and finds the successor through the routing table. *)
-              t.fence_bounces <- t.fence_bounces + 1;
+              Tenure.fence_bounce t.tenure;
               reply Ctrl.Nack
             end
             else
@@ -237,9 +229,7 @@ let attach host ?(port = 2050) ?(rpc_port = 2052) ?(probe_timeout = 0.5) ?(map_s
       completed_count = 0;
       redo_count = 0;
       up = true;
-      lease_until = infinity;
-      lease_epoch = 0;
-      fence_bounces = 0;
+      tenure = Tenure.create host.Host.eng ();
     }
   in
   Nfs_endpoint.serve_raw host ~port ~handler:(handle_msg t);
@@ -255,15 +245,7 @@ let log_image t = Wal.image t.wal
 (* The stable (synced) intentions log — what shared storage holds after
    this coordinator fails; a standby adopts it to finish 2PC. *)
 
-(* ---- fencing lease (failover) ---- *)
-
-let set_lease t ~epoch ~until =
-  t.lease_epoch <- epoch;
-  t.lease_until <- until
-
-let lease_epoch t = t.lease_epoch
-let fence_bounces t = t.fence_bounces
-let is_wedged t = wedged t
+let tenure t = t.tenure
 
 let pending_intents t =
   Hashtbl.fold (fun _ i acc -> if i.completed then acc else acc + 1) t.intents 0

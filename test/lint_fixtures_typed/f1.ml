@@ -37,3 +37,19 @@ let recover t payload = log_raw t payload
 (* suppressed: crash simulation *)
 (* lint: F1 ok — crash simulation models the disk, not client dispatch *)
 let crash t payload = Wal.append t.log payload
+
+(* the guard may come from a nested module: F1 matches its last path
+   component, as for the servers' [Tenure.wedged] *)
+module Tenure = struct
+  let wedged t = t.lease_until < 1.0
+end
+
+(* clean: the qualified wedge check dominates the append *)
+let handle_qualified t payload =
+  if Tenure.wedged t then t.bounces <- t.bounces + 1
+  else Wal.append t.log payload
+
+(* positive: the qualified guard runs only after the mutation *)
+let qualified_too_late t payload =
+  Wal.append t.log payload;
+  if Tenure.wedged t then t.bounces <- t.bounces + 1

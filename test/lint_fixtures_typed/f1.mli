@@ -10,3 +10,5 @@ val guard_too_late : t -> int -> unit
 val handle : t -> int -> unit
 val recover : t -> int -> unit
 val crash : t -> int -> unit
+val handle_qualified : t -> int -> unit
+val qualified_too_late : t -> int -> unit

@@ -8,6 +8,7 @@ module Codec = Slice_nfs.Codec
 module Routekey = Slice_nfs.Routekey
 module Host = Slice_storage.Host
 module Dirserver = Slice_dir.Dirserver
+module Tenure = Slice_storage.Tenure
 
 type rig = {
   eng : Engine.t;
@@ -278,9 +279,28 @@ let misdirected_bounced () =
       ignore (ok_or_fail "create" (create rig Fh.root "here"));
       let right = site_of rig (Nfs.Lookup (Fh.root, "here")) in
       let wrong = (right + 1) mod 2 in
-      match call ~to_site:wrong rig (Nfs.Lookup (Fh.root, "here")) with
+      (match call ~to_site:wrong rig (Nfs.Lookup (Fh.root, "here")) with
       | Error Nfs.ERR_MISDIRECTED -> ()
-      | _ -> Alcotest.fail "expected SLICE_MISDIRECTED bounce")
+      | _ -> Alcotest.fail "expected SLICE_MISDIRECTED bounce");
+      let tn = Dirserver.tenure rig.dirs.(wrong) in
+      check_int "one misdirect bounce" 1 (Tenure.misdirect_bounces tn);
+      check_int "no drain bounce" 0 (Tenure.drain_bounces tn))
+
+(* A draining site keeps answering lookups but bounces name-space
+   updates, one drain bounce each. *)
+let drain_bounces_updates () =
+  let rig = mk_rig ~nsites:2 ~policy:Dirserver.Name_hashing () in
+  run_on rig.eng (fun () ->
+      ignore (ok_or_fail "create" (create rig Fh.root "here"));
+      let site = site_of rig (Nfs.Lookup (Fh.root, "here")) in
+      let tn = Dirserver.tenure rig.dirs.(site) in
+      Tenure.begin_drain tn site;
+      expect_err "remove on a draining site" Nfs.ERR_MISDIRECTED
+        (call rig (Nfs.Remove (Fh.root, "here")));
+      check_int "one drain bounce" 1 (Tenure.drain_bounces tn);
+      ignore (ok_or_fail "lookup still served" (lookup rig Fh.root "here"));
+      check_int "no misdirect bounce" 0 (Tenure.misdirect_bounces tn);
+      check_int "drain count unchanged" 1 (Tenure.drain_bounces tn))
 
 let getattr_stale () =
   let rig = mk_rig () in
@@ -362,6 +382,7 @@ let suite =
     ("name hashing spreads entries", `Quick, hashing_spreads_entries);
     ("redirected mkdir orphan", `Quick, redirected_mkdir_orphan);
     ("misdirected request bounced", `Quick, misdirected_bounced);
+    ("drain bounces updates", `Quick, drain_bounces_updates);
     ("getattr stale", `Quick, getattr_stale);
     ("crash/recover preserves state", `Quick, crash_recover_preserves_state);
     ("checkpoint then recover", `Quick, checkpoint_then_recover);
@@ -386,7 +407,7 @@ let failover_adopt_site () =
       (* server 0 adopts logical site 1 from the journal *)
       Dirserver.adopt_site rig.dirs.(0) ~site:1 ~log:journal;
       check_bool "owns both sites" true
-        (List.sort compare (Dirserver.owned_sites rig.dirs.(0)) = [ 0; 1 ]);
+        (List.sort compare (Tenure.owned (Dirserver.tenure rig.dirs.(0))) = [ 0; 1 ]);
       (* site-1 entries are now served by server 0 (the routing table
          would be rebound to it) *)
       List.iter

@@ -212,11 +212,13 @@ let f1_entries () =
   let f1 = List.filter (fun f -> f.Finding.rule = Finding.F1) report.Driver.findings in
   let live = List.filter (fun f -> not (Finding.is_suppressed f)) f1 in
   check_bool "findings sit on the exported entries" true
-    (List.sort compare (List.map (fun f -> f.Finding.line) live) = [ 18; 21; 24 ]);
+    (List.sort compare (List.map (fun f -> f.Finding.line) live) = [ 18; 21; 24; 53 ]);
   check_bool "no finding on the private helper" true
     (not (List.exists (fun f -> f.Finding.line = 15) f1));
   check_bool "wedge-guarded handle is clean" true
     (not (List.exists (fun f -> f.Finding.line = 29) f1));
+  check_bool "a guard from a nested module counts" true
+    (not (List.exists (fun f -> f.Finding.line = 48) f1));
   let via = List.find (fun f -> f.Finding.line = 21) live in
   check_bool "witness chains through the private helper" true
     (contains ~needle:"F1.log_raw" via.Finding.msg
@@ -384,7 +386,7 @@ let suite =
     fixture_case "A1 fires and suppresses"
       (fires ~typed:true Finding.A1 a1_roots ~live:5 ~suppressed:2);
     fixture_case "F1 fires and suppresses"
-      (fires ~typed:true Finding.F1 f1_roots ~live:3 ~suppressed:2);
+      (fires ~typed:true Finding.F1 f1_roots ~live:4 ~suppressed:2);
     fixture_case "A1 hot-root accounting" a1_hot_roots;
     fixture_case "A1 interprocedural attribution" a1_interprocedural;
     fixture_case "A1 pragma covers a multi-line expression" a1_multiline_pragma;

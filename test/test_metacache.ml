@@ -15,6 +15,7 @@ module Proxy = Slice.Proxy
 module Dirserver = Slice_dir.Dirserver
 module Reconfig = Slice_reconfig.Reconfig
 module Plan = Slice_reconfig.Plan
+module Tenure = Slice_storage.Tenure
 
 let check_int64 = Alcotest.(check int64)
 let root = Ensemble.root
@@ -222,11 +223,11 @@ let fence_epoch_invalidation () =
          the victim then revives as a zombie still holding its old,
          expired lease *)
       let dirs = Ensemble.dirs ens in
-      let epoch0 = Dirserver.lease_epoch dirs.(0) in
+      let epoch0 = Tenure.lease_epoch (Dirserver.tenure dirs.(0)) in
       Ensemble.crash_dir ens 0;
       let moved = Reconfig.takeover rc Plan.Dir ~victim:0 ~standby:1 in
       check_bool "victim owned sites" true (moved > 0);
-      Dirserver.set_lease dirs.(0) ~epoch:epoch0 ~until:(Engine.now eng -. 1.0);
+      Tenure.set_lease (Dirserver.tenure dirs.(0)) ~epoch:epoch0 ~until:(Engine.now eng -. 1.0);
       Ensemble.recover_dir ens 0;
       (* the proxy's table still routes the moved sites at the zombie:
          the first mutation it bounces forces a table refresh, the epoch
@@ -235,7 +236,7 @@ let fence_epoch_invalidation () =
       List.iter
         (fun n -> ignore (ok_or_fail "create after takeover" (Client.create_file cl root (n ^ "x"))))
         names;
-      check_bool "zombie bounced the stale route" true (Dirserver.fence_bounces dirs.(0) > 0);
+      check_bool "zombie bounced the stale route" true (Tenure.fence_bounces (Dirserver.tenure dirs.(0)) > 0);
       check_bool "epoch bump flushed the caches" true (Proxy.fence_invalidations proxy >= 1);
       (* flushed entries refetch from the live server — and still resolve
          to the same files, so the flush lost nothing *)

@@ -16,6 +16,7 @@ module Ensemble = Slice.Ensemble
 module Client = Slice_workload.Client
 module Reconfig = Slice_reconfig.Reconfig
 module Plan = Slice_reconfig.Plan
+module Tenure = Slice_storage.Tenure
 
 let chunk = 32768
 let big_chunks = 6 (* chunks >= 2 are storage-class (above the threshold) *)
@@ -75,7 +76,7 @@ let check_storage_exclusive ens =
   let tbl = Option.get (Ensemble.storage_table ens) in
   let sts = Ensemble.storage ens in
   check_exclusive ~what:"storage" tbl
-    (fun i -> Obsd.owned_sites sts.(i))
+    (fun i -> Tenure.owned (Obsd.tenure sts.(i)))
     (fun i -> Obsd.addr sts.(i))
     (Array.length sts)
 
@@ -132,7 +133,7 @@ let test_smallfile_migration () =
       let tbl = Option.get (Ensemble.smallfile_table ens) in
       let sfs = Ensemble.smallfiles ens in
       check_exclusive ~what:"smallfile" tbl
-        (fun i -> Smallfile.owned_sites sfs.(i))
+        (fun i -> Tenure.owned (Smallfile.tenure sfs.(i)))
         (fun i -> Smallfile.addr sfs.(i))
         (Array.length sfs))
 
@@ -164,7 +165,7 @@ let test_dir_migration () =
       check_int "all entries visible" (30 + 8) (List.length entries);
       let dirs = Ensemble.dirs ens in
       check_exclusive ~what:"dir" (Ensemble.dir_table ens)
-        (fun i -> Dirserver.owned_sites dirs.(i))
+        (fun i -> Tenure.owned (Dirserver.tenure dirs.(i)))
         (fun i -> Dirserver.addr dirs.(i))
         (Array.length dirs))
 
@@ -262,19 +263,19 @@ let test_load_gauges_retired_on_commit () =
       for j = 0 to Table.nsites tbl - 1 do
         check_bool "gauge registered" true (List.mem (key j) (Metrics.names reg));
         check_bool "gauge reads the owner" true
-          (Metrics.value reg (key j) = float_of_int (Smallfile.site_load sfs0.(0) j))
+          (Metrics.value reg (key j) = float_of_int (Tenure.load (Smallfile.tenure sfs0.(0)) j))
       done;
       Reconfig.execute rc (Plan.Add_server Plan.Smallfile);
       let sfs = Ensemble.smallfiles ens in
-      let moved = Smallfile.owned_sites sfs.(1) in
+      let moved = Tenure.owned (Smallfile.tenure sfs.(1)) in
       check_bool "sites moved" true (moved <> []);
       List.iter
         (fun j ->
           (* commit reset the donor's row and re-registered the gauge *)
-          check_int "donor load row reset" 0 (Smallfile.site_load sfs.(0) j);
+          check_int "donor load row reset" 0 (Tenure.load (Smallfile.tenure sfs.(0)) j);
           check_bool "gauge survives retirement" true (List.mem (key j) (Metrics.names reg));
           check_bool "retired gauge reads the receiver" true
-            (Metrics.value reg (key j) = float_of_int (Smallfile.site_load sfs.(1) j)))
+            (Metrics.value reg (key j) = float_of_int (Tenure.load (Smallfile.tenure sfs.(1)) j)))
         moved;
       (* post-move traffic accrues to the receiver, and the gauges see it
          — none of it leaks back into the donor's rows *)
@@ -283,12 +284,12 @@ let test_load_gauges_retired_on_commit () =
         fhs;
       let gauge_sum = List.fold_left (fun a j -> a +. Metrics.value reg (key j)) 0.0 moved in
       let recv_sum =
-        List.fold_left (fun a j -> a + Smallfile.site_load sfs.(1) j) 0 moved
+        List.fold_left (fun a j -> a + Tenure.load (Smallfile.tenure sfs.(1)) j) 0 moved
       in
       check_bool "receiver load visible through gauges" true (gauge_sum > 0.0);
       check_bool "gauges equal receiver rows" true (gauge_sum = float_of_int recv_sum);
       List.iter
-        (fun j -> check_int "donor rows stay zero" 0 (Smallfile.site_load sfs.(0) j))
+        (fun j -> check_int "donor rows stay zero" 0 (Tenure.load (Smallfile.tenure sfs.(0)) j))
         moved)
 
 (* Hot-standby takeover as a direct control-plane call: every site of
@@ -311,7 +312,7 @@ let test_takeover_claims_victim_sites () =
       in
       let dirs = Ensemble.dirs ens in
       let tbl = Ensemble.dir_table ens in
-      let sites0 = Dirserver.owned_sites dirs.(0) in
+      let sites0 = Tenure.owned (Dirserver.tenure dirs.(0)) in
       check_bool "victim owns sites" true (sites0 <> []);
       let epoch0 = Table.epoch tbl in
       Ensemble.crash_dir ens 0;
@@ -321,11 +322,11 @@ let test_takeover_claims_victim_sites () =
       List.iter
         (fun j ->
           check_int "site rebound to the standby" (Dirserver.addr dirs.(1)) (Table.lookup tbl j);
-          check_bool "standby owns it" true (List.mem j (Dirserver.owned_sites dirs.(1))))
+          check_bool "standby owns it" true (List.mem j (Tenure.owned (Dirserver.tenure dirs.(1)))))
         sites0;
       (* revive the victim as a zombie (expired lease, old epoch): the
          full namespace must still resolve — through the standby *)
-      Dirserver.set_lease dirs.(0) ~epoch:(Dirserver.lease_epoch dirs.(0))
+      Tenure.set_lease (Dirserver.tenure dirs.(0)) ~epoch:(Tenure.lease_epoch (Dirserver.tenure dirs.(0)))
         ~until:(Engine.now eng -. 1.0);
       Ensemble.recover_dir ens 0;
       List.iter

@@ -7,6 +7,7 @@ module Fh = Slice_nfs.Fh
 module Codec = Slice_nfs.Codec
 module Host = Slice_storage.Host
 module Smallfile = Slice_smallfile.Smallfile
+module Tenure = Slice_storage.Tenure
 
 type rig = { eng : Engine.t; sf : Smallfile.t; rpc : Rpc.t; dst : Slice_net.Packet.addr }
 
@@ -171,6 +172,29 @@ let full_disk_is_an_error () =
       | Ok _ -> ()
       | Error st -> Alcotest.failf "write after remove: %s" (Nfs.status_name st))
 
+(* Over the wire: a draining site bounces writes (one drain bounce) but
+   still serves reads; a site the server does not own bounces as a
+   misdirect. *)
+let drain_and_misdirect_bounces () =
+  let rig = mk_rig () in
+  let tn = Smallfile.tenure rig.sf in
+  run_on rig.eng (fun () ->
+      let fh = reg_fh 30 in
+      ignore (call rig (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "abcd")));
+      Tenure.begin_drain tn 0;
+      expect_err "write to a draining site" Nfs.ERR_MISDIRECTED
+        (call rig (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "zzzz")));
+      check_int "one drain bounce" 1 (Tenure.drain_bounces tn);
+      (match call rig (Nfs.Read (fh, 0L, 4)) with
+      | Ok (Nfs.RRead (Nfs.Data d, _, _)) -> check_string "read still served" "abcd" d
+      | _ -> Alcotest.fail "read of a draining site");
+      check_int "no misdirect yet" 0 (Tenure.misdirect_bounces tn);
+      Tenure.disown tn 0;
+      expect_err "read of an unowned site" Nfs.ERR_MISDIRECTED
+        (call rig (Nfs.Read (fh, 0L, 4)));
+      check_int "one misdirect bounce" 1 (Tenure.misdirect_bounces tn);
+      check_int "drain count unchanged" 1 (Tenure.drain_bounces tn))
+
 let suite =
   [
     ("physical size rounding", `Quick, physical_rounding);
@@ -184,4 +208,5 @@ let suite =
     ("commit then read cached", `Quick, commit_then_read_cached);
     ("map block locality", `Quick, map_block_locality);
     ("full disk is an error", `Quick, full_disk_is_an_error);
+    ("drain and misdirect bounces", `Quick, drain_and_misdirect_bounces);
   ]

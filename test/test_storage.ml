@@ -9,6 +9,8 @@ module Host = Slice_storage.Host
 module Obsd = Slice_storage.Obsd
 module Coordinator = Slice_storage.Coordinator
 module Ctrl = Slice_storage.Ctrl
+module Tenure = Slice_storage.Tenure
+module Routekey = Slice_nfs.Routekey
 
 let reg_fh id =
   { Fh.file_id = Int64.of_int id; gen = 1; ftype = Fh.Reg; mirrored = false; attr_site = 0; cap = 0L }
@@ -302,6 +304,109 @@ let coord_block_maps () =
           check_int "one map entry" 1 (Coordinator.map_entries rig.coord)
       | _ -> Alcotest.fail "get_map")
 
+(* ---- Tenure ---- *)
+
+(* Every admission case: site state x request kind -> verdict, which
+   bounce counter moved, and the site's load. A drain is only possible on
+   an owned site; the last row drains and then disowns, which must leave
+   a plain unowned site. *)
+let tenure_truth_table () =
+  let rows =
+    [
+      (* owned, draining, write, admitted, drain bounce, misdirect bounce *)
+      (true, false, false, true, 0, 0);
+      (true, false, true, true, 0, 0);
+      (true, true, false, true, 0, 0);
+      (true, true, true, false, 1, 0);
+      (false, false, false, false, 0, 1);
+      (false, false, true, false, 0, 1);
+      (false, true, false, false, 0, 1);
+      (false, true, true, false, 0, 1);
+    ]
+  in
+  List.iter
+    (fun (owned, draining, write, admitted, drains, misdirects) ->
+      let what =
+        Printf.sprintf "%s/%s/%s"
+          (if owned then "owned" else "unowned")
+          (if draining then "draining" else "steady")
+          (if write then "write" else "read")
+      in
+      let tn = Tenure.create (Engine.create ()) ~sites:[ 3 ] () in
+      if draining then Tenure.begin_drain tn 3;
+      if not owned then Tenure.disown tn 3;
+      check_bool (what ^ " verdict") admitted (Tenure.admit tn 3 ~write);
+      check_int (what ^ " drain bounces") drains (Tenure.drain_bounces tn);
+      check_int (what ^ " misdirect bounces") misdirects (Tenure.misdirect_bounces tn);
+      check_int (what ^ " fence bounces") 0 (Tenure.fence_bounces tn);
+      check_int (what ^ " load") (if admitted then 1 else 0) (Tenure.load tn 3);
+      check_int (what ^ " total load") (if admitted then 1 else 0) (Tenure.total_load tn))
+    rows
+
+let tenure_ownership_and_drains () =
+  let tn = Tenure.create (Engine.create ()) ~sites:[ 5; 1; 3 ] () in
+  check_bool "owned sites sorted" true (Tenure.owned tn = [ 1; 3; 5 ]);
+  (match Tenure.begin_drain tn 2 with
+  | () -> Alcotest.fail "begin_drain on an unowned site must raise"
+  | exception Invalid_argument _ -> ());
+  check_bool "failed drain left no mark" false (Tenure.draining tn 2);
+  Tenure.begin_drain tn 1;
+  Tenure.begin_drain tn 5;
+  ignore (Tenure.admit tn 3 ~write:true);
+  Tenure.clear_drains tn;
+  check_bool "drains lifted" true
+    (List.for_all (fun s -> not (Tenure.draining tn s)) [ 1; 3; 5 ]);
+  check_bool "ownership kept" true (Tenure.owned tn = [ 1; 3; 5 ]);
+  check_bool "writes admitted again" true (Tenure.admit tn 1 ~write:true);
+  Tenure.reset_load tn 3;
+  check_int "reset forgets one site" 1 (Tenure.total_load tn)
+
+let tenure_lease_boundary () =
+  let eng = Engine.create () in
+  let tn = Tenure.create eng () in
+  run_on eng (fun () ->
+      Engine.sleep eng 1e9;
+      check_bool "default infinite lease never wedges" false (Tenure.wedged tn);
+      check_int "default epoch" 0 (Tenure.lease_epoch tn);
+      let now = Engine.now eng in
+      Tenure.set_lease tn ~epoch:4 ~until:now;
+      check_bool "not wedged at now = until" false (Tenure.wedged tn);
+      check_int "epoch granted" 4 (Tenure.lease_epoch tn);
+      Tenure.set_lease tn ~epoch:4 ~until:(Float.pred now);
+      check_bool "wedged just after until" true (Tenure.wedged tn);
+      check_int "wedged is a query, not a bounce" 0 (Tenure.fence_bounces tn))
+
+(* Over the wire: a draining site bounces plain writes (one drain
+   bounce) but serves reads and mirrored writes; a site the node does
+   not own bounces as a misdirect. *)
+let obsd_drain_and_misdirect_bounces () =
+  let rig = mk_rig () in
+  let node = rig.nodes.(0) in
+  let tn = Obsd.tenure node in
+  let dst = Obsd.addr node in
+  run_on rig.eng (fun () ->
+      let fh = reg_fh 20 in
+      ignore (nfs_call rig ~dst (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "abcd")));
+      Tenure.begin_drain tn 0;
+      expect_err "write to a draining site" Nfs.ERR_MISDIRECTED
+        (nfs_call rig ~dst (Nfs.Write (fh, 0L, Nfs.Unstable, Nfs.Data "zzzz")));
+      check_int "one drain bounce" 1 (Tenure.drain_bounces tn);
+      (match nfs_call rig ~dst (Nfs.Read (fh, 0L, 4)) with
+      | Ok (Nfs.RRead (Nfs.Data d, _, _)) -> check_string "read still served" "abcd" d
+      | _ -> Alcotest.fail "read of a draining site");
+      (match
+         nfs_call rig ~dst
+           (Nfs.Write ({ fh with Fh.mirrored = true }, 0L, Nfs.Unstable, Nfs.Data "mmmm"))
+       with
+      | Ok (Nfs.RWrite (4, _, _)) -> ()
+      | _ -> Alcotest.fail "mirrored write to a draining site must land");
+      check_int "mirrored write is no drain bounce" 1 (Tenure.drain_bounces tn);
+      check_int "no misdirect yet" 0 (Tenure.misdirect_bounces tn);
+      expect_err "read of an unowned site" Nfs.ERR_MISDIRECTED
+        (nfs_call rig ~dst (Nfs.Read (fh, Routekey.site_offset ~site:1 0L, 4)));
+      check_int "one misdirect bounce" 1 (Tenure.misdirect_bounces tn);
+      check_int "drain count unchanged" 1 (Tenure.drain_bounces tn))
+
 let suite =
   [
     ("obsd write/read roundtrip", `Quick, obsd_write_read_roundtrip);
@@ -311,6 +416,10 @@ let suite =
     ("obsd commit stable", `Quick, obsd_commit_stable);
     ("obsd truncate", `Quick, obsd_truncate);
     ("obsd rejects name ops", `Quick, obsd_name_op_rejected);
+    ("obsd drain and misdirect bounces", `Quick, obsd_drain_and_misdirect_bounces);
+    ("tenure admission truth table", `Quick, tenure_truth_table);
+    ("tenure ownership and drains", `Quick, tenure_ownership_and_drains);
+    ("tenure lease boundary", `Quick, tenure_lease_boundary);
     ("coordinator orchestrated remove", `Quick, coord_orchestrated_remove);
     ("coordinator commit file", `Quick, coord_commit_file);
     ("coordinator intent/complete", `Quick, coord_intent_complete);
