@@ -24,6 +24,7 @@ module Specsfs = Slice_workload.Specsfs
 module Net = Slice_net.Net
 module Host = Slice_storage.Host
 module Engine = Slice_sim.Engine
+module Bcache = Slice_disk.Bcache
 
 (* ---- Bechamel microbenchmarks: the real code on the µproxy's critical
    path, one group per exhibit that leans on it ---- *)
@@ -35,6 +36,60 @@ let sample_call = Codec.encode_call ~xid:7 (Nfs.Lookup (sample_fh, "kern_descrip
 
 let sample_pkt () =
   Packet.make ~src:3 ~dst:9 ~sport:1000 ~dport:2049 (Bytes.copy sample_call)
+
+(* ---- the storage nodes' buffer cache, over a backend that never
+   parks: a hit, or a miss with nothing behind it, runs outside a fiber ---- *)
+
+let still_backend =
+  {
+    Bcache.demand_read = (fun ~obj:_ ~block:_ ~count:_ ~sequential:_ -> ());
+    readahead = (fun ~obj:_ ~block:_ ~count:_ -> ());
+    write_back = (fun ~obj:_ ~block:_ ~count:_ ~done_ -> done_ ());
+    sync = (fun () -> ());
+  }
+
+(* [resident] blocks of object 1, read in descending order so no read
+   looks sequential and prefetches past them, and room for [room] more. *)
+let filled_cache ?(room = 4) resident =
+  let c =
+    Bcache.create (Engine.create ()) ~backend:still_backend
+      ~capacity:((resident + room) * Bcache.block_size)
+      ~name:"bench"
+  in
+  for b = resident - 1 downto 0 do
+    Bcache.read c ~obj:1L ~block:b
+  done;
+  c
+
+(* One op each: a read hit over 1024 resident blocks; a write hit on one
+   of 256 dirty blocks (under the write-behind mark, so nothing
+   flushes); and four random-read misses on object 2 — strides over 8
+   blocks, no prefetch — then its invalidate, beside [resident] blocks
+   of object 1. *)
+let bcache_read_hit () =
+  let c = filled_cache 1024 and k = ref 0 in
+  fun () ->
+    k := (!k + 17) land 1023;
+    Bcache.read c ~obj:1L ~block:!k
+
+let bcache_write_hit () =
+  let c = filled_cache ~room:256 0 in
+  for b = 0 to 255 do
+    Bcache.write c ~obj:2L ~block:b
+  done;
+  let k = ref 0 in
+  fun () ->
+    k := (!k + 17) land 255;
+    Bcache.write c ~obj:2L ~block:!k
+
+let bcache_invalidate ~resident =
+  let c = filled_cache resident in
+  fun () ->
+    Bcache.read c ~obj:2L ~block:1;
+    Bcache.read c ~obj:2L ~block:10;
+    Bcache.read c ~obj:2L ~block:20;
+    Bcache.read c ~obj:2L ~block:30;
+    Bcache.invalidate_object c 2L
 
 let micro_tests =
   let open Bechamel in
@@ -98,6 +153,11 @@ let micro_tests =
        done;
        Test.make ~name:"metacache/stats-percentile-cached"
          (Staged.stage (fun () -> ignore (Slice_util.Stats.percentile s 99.0))));
+      (* Table 2: the storage node's buffer cache under bulk I/O *)
+      Test.make ~name:"storage/bcache-read-hit" (Staged.stage (bcache_read_hit ()));
+      Test.make ~name:"storage/bcache-write-hit" (Staged.stage (bcache_write_hit ()));
+      Test.make ~name:"storage/bcache-invalidate-4of8192"
+        (Staged.stage (bcache_invalidate ~resident:8192));
     ]
 
 (* Minor words allocated, read from [Gc.minor_words]: Bechamel's own
@@ -403,6 +463,47 @@ let packet_path_section (packets, wpp, nspp) ~full_system_ns =
       ("ns_below_full_system", num (full_system_ns -. nspp));
     ]
 
+(* Minor words per op over [n] ops: exact, so the same code gives the
+   same figure on every run and machine. *)
+let words_per_op ~n op =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    op ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* CPU ns per op, the best of five batches. *)
+let ns_per_op ~n op =
+  let batch () =
+    (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
+    let t0 = Sys.time () in
+    for _ = 1 to n do
+      op ()
+    done;
+    (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
+    (Sys.time () -. t0) *. 1e9 /. float_of_int n
+  in
+  List.fold_left Float.min infinity (List.init 5 (fun _ -> batch ()))
+
+(* Words per read and write hit, and what invalidating a 4-block object
+   costs beside 8192 resident blocks against beside 1024: a cache that
+   scans every resident block to find one object's pays ~8x. *)
+let bcache_cost () =
+  ( words_per_op ~n:10_000 (bcache_read_hit ()),
+    words_per_op ~n:10_000 (bcache_write_hit ()),
+    ns_per_op ~n:5000 (bcache_invalidate ~resident:1024),
+    ns_per_op ~n:5000 (bcache_invalidate ~resident:8192) )
+
+let bcache_section (read_words, write_words, ns_1024, ns_8192) =
+  Json.Obj
+    [
+      ("read_hit_words", num read_words);
+      ("write_hit_words", num write_words);
+      ("invalidate_ns_1024", num ns_1024);
+      ("invalidate_ns_8192", num ns_8192);
+      ("invalidate_ratio", num (ns_8192 /. ns_1024));
+    ]
+
 (* Write the sections and the gates over them, then re-read the file
    and run the checker on what landed on disk. *)
 let write_artifact sections gates =
@@ -588,6 +689,11 @@ let run_smoke () =
     (E.Storm.interactive_p99_ms st.E.Storm.st_on)
     st.E.Storm.st_p99_bound_ms
     (100.0 *. st.E.Storm.st_throughput_ratio);
+  print_endline "bench smoke: storage buffer cache (hits, invalidate at 1024 vs 8192 blocks)";
+  let ((read_words, write_words, ns_1024, ns_8192) as bc) = bcache_cost () in
+  Printf.printf
+    "  bcache: %.2f words/read hit, %.2f words/write hit, invalidate %.0f ns at 1024 blocks, %.0f at 8192\n"
+    read_words write_words ns_1024 ns_8192;
   let sections =
     [
       ("micro", micro_section micro);
@@ -597,6 +703,7 @@ let run_smoke () =
       ("specsfs_full", specsfs_section sfs);
       ("packet_path", packet_path_section pp ~full_system_ns:s_nspp);
       ("storm", E.Storm.json_of st);
+      ("bcache", bcache_section bc);
     ]
   in
   if write_artifact sections Gates.all then print_endline "bench smoke: BENCH.json OK"

@@ -26,27 +26,64 @@ let disk_backend eng disk =
     sync = (fun () -> ());
   }
 
-type key = int64 * int
+(* Block numbers hash to themselves, so a sequential stream fills
+   consecutive buckets. Object ids fold their high half into the low
+   bits the bucket index keeps. *)
+module Blocks = Hashtbl.Make (struct
+  type t = int
 
-type entry = { mutable dirty : bool }
+  let equal = Int.equal
+  let hash b = b land max_int
+end)
+
+module Objs = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash o = Int64.to_int (Int64.logxor o (Int64.shift_right_logical o 32)) land max_int
+end)
+
+(* Everything the cache knows about one object, found once by id. *)
+type obj = {
+  id : int64;
+  resident : node Blocks.t;
+  dirty_blocks : node Blocks.t; (* the dirty subset of [resident] *)
+  mutable last : int; (* last block read or written: the prefetch detector *)
+  mutable ordered : bool; (* has a row in [t.order] *)
+  mutable inflight : int; (* write-backs outstanding *)
+  mutable completed : int; (* write-backs stable *)
+  mutable waiters : (unit -> unit) list; (* commit barriers *)
+}
+
+(* A resident 8 KB block on the cache-wide LRU list. *)
+and node = {
+  owner : obj;
+  block : int;
+  mutable dirty : bool;
+  mutable prev : node;
+  mutable next : node;
+}
 
 type t = {
-  eng : Engine.t;
   backend : backend;
-  cache : (key, entry) Slice_util.Lru.t;
-  last_access : (int64, int) Hashtbl.t;
-  dirty_index : (int64, (int, entry) Hashtbl.t) Hashtbl.t; (* obj -> dirty blocks *)
+  capacity : int;
+  lru : node; (* sentinel: [lru.next] is the most recent block, [lru.prev] the least *)
+  mutable blocks : int; (* nodes on the list *)
+  objs : obj Objs.t;
+  (* The objects [commit_all] and the throttle flush, in [Hashtbl.fold]
+     order. That order sets the disk schedule, so this table must see
+     exactly the insertions and removals of the per-object dirty index
+     it replaces: a row on the first [write] or [commit] of an object,
+     dropped by [invalidate_object], all dropped by [drop_clean]. *)
+  order : (int64, obj) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable prefetched : int;
-  inflight : int ref; (* outstanding write-backs *)
-  inflight_blocks : int ref;
-  total_dirty : int ref;
-  obj_inflight : (int64, int ref) Hashtbl.t; (* per-object outstanding *)
-  obj_done : (int64, int ref) Hashtbl.t; (* per-object completed write-backs *)
-  obj_waiters : (int64, (unit -> unit) list ref) Hashtbl.t;
-  waiters : (unit -> unit) list ref; (* fibers parked in commit_all *)
-  throttle_waiters : (unit -> unit) list ref; (* writers parked by the throttle *)
+  mutable inflight : int; (* outstanding write-backs *)
+  mutable inflight_blocks : int;
+  mutable total_dirty : int;
+  mutable waiters : (unit -> unit) list; (* fibers parked in commit_all *)
+  mutable throttle_waiters : (unit -> unit) list; (* writers parked by the throttle *)
 }
 
 (* Write-behind high water: once an object accumulates this many dirty
@@ -63,264 +100,306 @@ let high_water_blocks = 512
 let max_outstanding_blocks = 4096
 
 let prefetch_blocks = 32 (* 256 KB / 8 KB *)
+let no_access = min_int
 
-let counter tbl obj =
-  match Hashtbl.find_opt tbl obj with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace tbl obj r;
-      r
+let new_obj id =
+  {
+    id;
+    (* lint: bounded — one object's blocks, capped by the cache capacity *)
+    resident = Blocks.create 16;
+    (* lint: bounded — a subset of the resident blocks *)
+    dirty_blocks = Blocks.create 16;
+    last = no_access;
+    ordered = false;
+    inflight = 0;
+    completed = 0;
+    waiters = [];
+  }
 
-let start_write_back t ~obj ~block ~count =
-  incr t.inflight;
-  t.inflight_blocks := !(t.inflight_blocks) + count;
-  let oc = counter t.obj_inflight obj in
-  incr oc;
-  t.backend.write_back ~obj ~block ~count ~done_:(fun () ->
-      decr t.inflight;
-      t.inflight_blocks := !(t.inflight_blocks) - count;
-      decr oc;
-      if !oc = 0 then Hashtbl.remove t.obj_inflight obj;
-      incr (counter t.obj_done obj);
+let find_obj t id =
+  match Objs.find t.objs id with
+  | o -> o
+  | exception Not_found ->
+      let o = new_obj id in
+      Objs.add t.objs id o;
+      o
+
+(* Reset an object to knowing nothing; its write-back counts stay. *)
+let forget t (o : obj) =
+  if o.ordered then Hashtbl.remove t.order o.id;
+  o.ordered <- false;
+  o.last <- no_access;
+  Blocks.reset o.resident;
+  Blocks.reset o.dirty_blocks
+
+(* A forgotten object with nothing in flight and no barrier parked on it
+   holds only its completion count, which no barrier can read again: a
+   later [commit] of the id starts a new record whose target, 0 + 0,
+   waits for nothing, as k + 0 did. *)
+let idle (o : obj) = o.inflight = 0 && match o.waiters with [] -> true | _ -> false
+
+let retire t (o : obj) =
+  if idle o && (not o.ordered) && o.last = no_access && Blocks.length o.resident = 0 then
+    Objs.remove t.objs o.id
+
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
+
+let push_front t n =
+  n.prev <- t.lru;
+  n.next <- t.lru.next;
+  t.lru.next.prev <- n;
+  t.lru.next <- n
+
+let promote t n =
+  if t.lru.next != n then begin
+    unlink n;
+    push_front t n
+  end
+
+let start_write_back t (o : obj) ~block ~count =
+  t.inflight <- t.inflight + 1;
+  t.inflight_blocks <- t.inflight_blocks + count;
+  o.inflight <- o.inflight + 1;
+  t.backend.write_back ~obj:o.id ~block ~count ~done_:(fun () ->
+      t.inflight <- t.inflight - 1;
+      t.inflight_blocks <- t.inflight_blocks - count;
+      o.inflight <- o.inflight - 1;
+      o.completed <- o.completed + 1;
       (* commit barriers re-check their own completion predicates *)
-      (match Hashtbl.find_opt t.obj_waiters obj with
-      | Some ws ->
-          Hashtbl.remove t.obj_waiters obj;
-          List.iter (fun w -> w ()) !ws
-      | None -> ());
-      if !(t.total_dirty) + !(t.inflight_blocks) < max_outstanding_blocks then begin
-        let ws = !(t.throttle_waiters) in
-        t.throttle_waiters := [];
+      let ws = o.waiters in
+      o.waiters <- [];
+      List.iter (fun w -> w ()) ws;
+      retire t o;
+      if t.total_dirty + t.inflight_blocks < max_outstanding_blocks then begin
+        let ws = t.throttle_waiters in
+        t.throttle_waiters <- [];
         List.iter (fun w -> w ()) ws
       end;
-      if !(t.inflight) = 0 then begin
-        let ws = !(t.waiters) in
-        t.waiters := [];
+      if t.inflight = 0 then begin
+        let ws = t.waiters in
+        t.waiters <- [];
         List.iter (fun w -> w ()) ws
       end)
 
-let create eng ~backend ~capacity ~name:_ =
-  (* the eviction hook needs the cache record, which needs the Lru: tie
-     the knot through a forward reference *)
-  let self = ref None in
-  let on_evict (obj, block) (e : entry) =
-    match !self with
-    | None -> ()
-    | Some t ->
-        if e.dirty then begin
-          e.dirty <- false;
-          decr t.total_dirty;
-          (match Hashtbl.find_opt t.dirty_index obj with
-          | Some tbl -> Hashtbl.remove tbl block
-          | None -> ());
-          start_write_back t ~obj ~block ~count:1
-        end
-  in
-  let t =
-    {
-      eng;
-      backend;
-      cache = Slice_util.Lru.create ~on_evict ~capacity ();
-      (* lint: bounded — one row per object of the store: prefetch hint *)
-      last_access = Hashtbl.create 64;
-      (* lint: bounded — per-object dirty sets, drained by write-back/commit *)
-      dirty_index = Hashtbl.create 16;
-      hits = 0;
-      misses = 0;
-      prefetched = 0;
-      inflight = ref 0;
-      inflight_blocks = ref 0;
-      total_dirty = ref 0;
-      (* lint: bounded — rows removed when an object's write-backs drain *)
-      obj_inflight = Hashtbl.create 16;
-      (* lint: bounded — one counter row per object of the store *)
-      obj_done = Hashtbl.create 16;
-      (* lint: bounded — rows removed when the waiters are woken *)
-      obj_waiters = Hashtbl.create 16;
-      waiters = ref [];
-      throttle_waiters = ref [];
-    }
-  in
-  self := Some t;
-  t
+(* Take a block off the list; a dirty one is written back, as when
+   capacity pressure or a newer copy of the same block displaces it. *)
+let displace t n =
+  unlink n;
+  t.blocks <- t.blocks - 1;
+  let o = n.owner in
+  Blocks.remove o.resident n.block;
+  if n.dirty then begin
+    n.dirty <- false;
+    t.total_dirty <- t.total_dirty - 1;
+    Blocks.remove o.dirty_blocks n.block;
+    start_write_back t o ~block:n.block ~count:1
+  end
 
-let insert t key entry = Slice_util.Lru.add t.cache ~weight:block_size key entry
-(* A forward stride of up to one stripe chunk (4 blocks of 8 KB under the
-   32 KB stripe unit) still reads as a sequential stream to the drive —
-   this is how a client alternating between mirrors keeps triggering
-   contiguous prefetch whose skipped half goes unused. *)
+(* A block already resident — a reader parked in [demand_read] can race a
+   writer to it — is displaced before the new node goes on the list. *)
+let insert t o block =
+  (match Blocks.find o.resident block with
+  | old -> displace t old
+  | exception Not_found -> ());
+  let n = { owner = o; block; dirty = false; prev = t.lru; next = t.lru } in
+  Blocks.add o.resident block n;
+  t.blocks <- t.blocks + 1;
+  push_front t n;
+  while t.blocks * block_size > t.capacity do
+    displace t t.lru.prev
+  done;
+  n
+
+let create _eng ~backend ~capacity ~name:_ =
+  if capacity < block_size then invalid_arg "Bcache.create: capacity below one block";
+  let rec lru = { owner = new_obj 0L; block = -1; dirty = false; prev = lru; next = lru } in
+  {
+    backend;
+    capacity;
+    lru;
+    blocks = 0;
+    (* lint: bounded — one record per object of the store: the prefetch hint *)
+    objs = Objs.create 64;
+    (* lint: bounded — one row per object written since its last invalidate *)
+    order = Hashtbl.create 16;
+    hits = 0;
+    misses = 0;
+    prefetched = 0;
+    inflight = 0;
+    inflight_blocks = 0;
+    total_dirty = 0;
+    waiters = [];
+    throttle_waiters = [];
+  }
+
+(* A forward stride of up to 8 blocks (64 KB) still reads as a
+   sequential stream to the drive — this is how a client alternating
+   between mirrors keeps triggering contiguous prefetch whose skipped
+   half goes unused. *)
 let sequentialish ~last ~block = block > last && block - last <= 8
 
-let read t ~obj ~block =
-  let key = (obj, block) in
-  (match Slice_util.Lru.find t.cache key with
-  | Some _ -> t.hits <- t.hits + 1
-  | None ->
+let read t ~obj:id ~block =
+  let o = find_obj t id in
+  match Blocks.find o.resident block with
+  | n ->
+      t.hits <- t.hits + 1;
+      promote t n;
+      o.last <- block
+  | exception Not_found ->
       t.misses <- t.misses + 1;
-      let seq =
-        match Hashtbl.find_opt t.last_access obj with
-        | Some last -> sequentialish ~last ~block
-        | None -> block = 0
-      in
-      if seq then begin
-        (* Wait for the demand block only; stream the readahead window
-           behind it asynchronously (FFS-style pipelined prefetch, up to
-           256 KB beyond the current access). *)
-        t.backend.demand_read ~obj ~block ~count:1 ~sequential:(block <> 0);
-        insert t key { dirty = false };
-        let run = ref 0 in
-        while
-          !run < prefetch_blocks - 1
-          && not (Slice_util.Lru.mem t.cache (obj, block + 1 + !run))
-        do
-          incr run
-        done;
-        if !run > 0 then begin
-          t.backend.readahead ~obj ~block:(block + 1) ~count:!run;
-          for i = 1 to !run do
-            insert t (obj, block + i) { dirty = false }
-          done;
-          t.prefetched <- t.prefetched + !run
-        end
-      end
-      else begin
-        t.backend.demand_read ~obj ~block ~count:1 ~sequential:false;
-        insert t key { dirty = false }
-      end);
-  Hashtbl.replace t.last_access obj block
+      let seq = if o.last = no_access then block = 0 else sequentialish ~last:o.last ~block in
+      (* Wait for the demand block only; on a sequential stream, stream
+         the readahead window behind it asynchronously (FFS-style
+         pipelined prefetch, up to 256 KB beyond the current access). *)
+      t.backend.demand_read ~obj:id ~block ~count:1 ~sequential:(seq && block <> 0);
+      (* the fiber parked: an invalidate may have retired [o] meanwhile *)
+      let o = find_obj t id in
+      ignore (insert t o block);
+      (if seq then
+         let run = ref 0 in
+         while !run < prefetch_blocks - 1 && not (Blocks.mem o.resident (block + 1 + !run)) do
+           incr run
+         done;
+         if !run > 0 then begin
+           t.backend.readahead ~obj:id ~block:(block + 1) ~count:!run;
+           for i = 1 to !run do
+             ignore (insert t o (block + i))
+           done;
+           t.prefetched <- t.prefetched + !run
+         end);
+      o.last <- block
 
-let dirty_tbl t obj =
-  match Hashtbl.find_opt t.dirty_index obj with
-  | Some tbl -> tbl
-  | None ->
-      (* lint: bounded — dirty blocks of one object, capped by cache capacity *)
-      let tbl = Hashtbl.create 64 in
-      Hashtbl.replace t.dirty_index obj tbl;
-      tbl
+let add_order t o =
+  if not o.ordered then begin
+    o.ordered <- true;
+    Hashtbl.replace t.order o.id o
+  end
 
-let mark_dirty t obj block (e : entry) =
-  if not e.dirty then incr t.total_dirty;
-  e.dirty <- true;
-  Hashtbl.replace (dirty_tbl t obj) block e
+let mark_dirty t o n =
+  add_order t o;
+  if not n.dirty then begin
+    n.dirty <- true;
+    t.total_dirty <- t.total_dirty + 1;
+    Blocks.replace o.dirty_blocks n.block n
+  end
 
-let dirty_blocks_of t obj =
-  match Hashtbl.find_opt t.dirty_index obj with
-  | None -> []
-  | Some tbl ->
-      List.sort (fun (a, _) (b, _) -> compare a b)
-        (Hashtbl.fold (fun b e acc -> (b, e) :: acc) tbl [])
-
-(* Cluster contiguous dirty blocks into single transfers. *)
-let flush_dirty t obj blocks =
-  let tbl = dirty_tbl t obj in
-  let clean b (e : entry) =
-    if e.dirty then decr t.total_dirty;
-    e.dirty <- false;
-    Hashtbl.remove tbl b
+(* Write back the object's dirty blocks in block order, each contiguous
+   run as a single transfer. *)
+let flush t o =
+  add_order t o;
+  let dirty =
+    List.sort
+      (fun a b -> Int.compare a.block b.block)
+      (Blocks.fold (fun _ n acc -> n :: acc) o.dirty_blocks [])
+  in
+  Blocks.clear o.dirty_blocks;
+  let clean n =
+    n.dirty <- false;
+    t.total_dirty <- t.total_dirty - 1
   in
   let rec loop = function
     | [] -> ()
-    | (b0, (e0 : entry)) :: rest ->
-        clean b0 e0;
-        let rec extend prev n = function
-          | (b, (e : entry)) :: tl when b = prev + 1 ->
-              clean b e;
-              extend b (n + 1) tl
-          | tl -> (n, tl)
+    | n0 :: rest ->
+        clean n0;
+        let rec extend prev len = function
+          | n :: tl when n.block = prev + 1 ->
+              clean n;
+              extend n.block (len + 1) tl
+          | tl -> (len, tl)
         in
-        let run_len, rest = extend b0 1 rest in
-        start_write_back t ~obj ~block:b0 ~count:run_len;
+        let len, rest = extend n0.block 1 rest in
+        start_write_back t o ~block:n0.block ~count:len;
         loop rest
   in
-  loop blocks
+  loop dirty
 
-let write t ~obj ~block =
-  let key = (obj, block) in
-  (match Slice_util.Lru.find t.cache key with
-  | Some e ->
-      t.hits <- t.hits + 1;
-      mark_dirty t obj block e
-  | None ->
-      t.misses <- t.misses + 1;
-      let e = { dirty = false } in
-      insert t key e;
-      mark_dirty t obj block e);
-  Hashtbl.replace t.last_access obj block;
+let flush_all t =
+  List.iter (flush t) (Hashtbl.fold (fun _ o acc -> o :: acc) t.order [])
+
+let write t ~obj:id ~block =
+  let o = find_obj t id in
+  let n =
+    match Blocks.find o.resident block with
+    | n ->
+        t.hits <- t.hits + 1;
+        promote t n;
+        n
+    | exception Not_found ->
+        t.misses <- t.misses + 1;
+        insert t o block
+  in
+  mark_dirty t o n;
+  o.last <- block;
   (* background write-behind past the high-water mark *)
-  if Hashtbl.length (dirty_tbl t obj) >= high_water_blocks then
-    flush_dirty t obj (dirty_blocks_of t obj);
+  if Blocks.length o.dirty_blocks >= high_water_blocks then flush t o;
   (* Dirty throttle: stall the writer while the backend is far behind;
      re-checked on every write-back completion. Flushing the writer's own
      object here would shred streams into tiny runs (writers park
      mid-request), so when the backend goes idle we flush EVERY object's
      accumulated dirty set — each a contiguous clustered run — and let
      completions pace the writers. *)
-  while !(t.total_dirty) + !(t.inflight_blocks) > max_outstanding_blocks do
-    if !(t.inflight) = 0 then begin
-      let objs = Hashtbl.fold (fun o _ acc -> o :: acc) t.dirty_index [] in
-      List.iter (fun o -> flush_dirty t o (dirty_blocks_of t o)) objs
-    end
-    else
-      Engine.suspend (fun wake -> t.throttle_waiters := (fun () -> wake ()) :: !(t.throttle_waiters))
+  while t.total_dirty + t.inflight_blocks > max_outstanding_blocks do
+    if t.inflight = 0 then flush_all t
+    else Engine.suspend (fun wake -> t.throttle_waiters <- (fun () -> wake ()) :: t.throttle_waiters)
   done
 
 let wait_idle t =
-  while !(t.inflight) > 0 do
-    Engine.suspend (fun wake -> t.waiters := (fun () -> wake ()) :: !(t.waiters))
+  while t.inflight > 0 do
+    Engine.suspend (fun wake -> t.waiters <- (fun () -> wake ()) :: t.waiters)
   done
 
 (* Commit waits only for the write-backs of ITS object that are already
    booked when it runs — not for other streams' data, and not for writes
    that arrive later (a file can be committed while still being
-   written). *)
-let wait_obj_barrier t obj =
-  let target = !(counter t.obj_done obj) + !(counter t.obj_inflight obj) in
-  if not (Hashtbl.mem t.obj_inflight obj) then Hashtbl.remove t.obj_inflight obj;
-  while !(counter t.obj_done obj) < target do
-    Engine.suspend (fun wake ->
-        let ws =
-          match Hashtbl.find_opt t.obj_waiters obj with
-          | Some ws -> ws
-          | None ->
-              let ws = ref [] in
-              Hashtbl.replace t.obj_waiters obj ws;
-              ws
-        in
-        ws := (fun () -> wake ()) :: !ws)
+   written). Write-backs in flight when the object was invalidated still
+   count: the record outlives the invalidate until they land. *)
+let wait_obj_barrier (o : obj) =
+  let target = o.completed + o.inflight in
+  while o.completed < target do
+    Engine.suspend (fun wake -> o.waiters <- (fun () -> wake ()) :: o.waiters)
   done
 
-let commit t ~obj =
-  flush_dirty t obj (dirty_blocks_of t obj);
-  wait_obj_barrier t obj;
+let commit t ~obj:id =
+  let o = find_obj t id in
+  flush t o;
+  wait_obj_barrier o;
   t.backend.sync ()
 
 let commit_all t =
-  let objs = Hashtbl.fold (fun o _ acc -> o :: acc) t.dirty_index [] in
-  List.iter (fun o -> flush_dirty t o (dirty_blocks_of t o)) objs;
+  flush_all t;
   wait_idle t;
   t.backend.sync ()
 
-let invalidate_object t obj =
-  let keys = ref [] in
-  Slice_util.Lru.iter t.cache (fun (o, b) e ->
-      if o = obj then begin
-        if e.dirty then decr t.total_dirty;
-        e.dirty <- false;
-        keys := (o, b) :: !keys
-      end);
-  List.iter (Slice_util.Lru.remove t.cache) !keys;
-  Hashtbl.remove t.dirty_index obj;
-  Hashtbl.remove t.last_access obj
+(* Only this object's blocks are visited. *)
+let invalidate_object t id =
+  match Objs.find t.objs id with
+  | exception Not_found -> ()
+  | o ->
+      Blocks.iter
+        (fun _ n ->
+          unlink n;
+          if n.dirty then t.total_dirty <- t.total_dirty - 1)
+        o.resident;
+      t.blocks <- t.blocks - Blocks.length o.resident;
+      forget t o;
+      retire t o
 
 let drop_clean t =
   (* Invalidate the whole cache (e.g. to model a cold mount). Dirty data
      must have been committed first. *)
-  Slice_util.Lru.clear t.cache;
-  Hashtbl.reset t.dirty_index;
-  Hashtbl.reset t.last_access
+  t.lru.next <- t.lru;
+  t.lru.prev <- t.lru;
+  t.blocks <- 0;
+  Objs.filter_map_inplace
+    (fun _ o ->
+      forget t o;
+      if idle o then None else Some o)
+    t.objs;
+  Hashtbl.reset t.order
 
 let hits t = t.hits
 let misses t = t.misses
 let prefetched_blocks t = t.prefetched
-let resident_bytes t = Slice_util.Lru.size t.cache
+let resident_bytes t = t.blocks * block_size

@@ -3,10 +3,10 @@
 
     - {b sequential prefetch}: a miss on a (near-)sequential stream waits
       only for the demand block and streams up to 256 KB beyond it
-      asynchronously. Strides up to 2 count as sequential, so a client
-      alternating between mirrors still triggers contiguous prefetch —
-      which is exactly how mirrored reads come to waste prefetched data on
-      the storage nodes (Table 2).
+      asynchronously. Forward strides of up to 8 blocks count as
+      sequential, so a client alternating between mirrors still triggers
+      contiguous prefetch — which is exactly how mirrored reads come to
+      waste prefetched data on the storage nodes (Table 2).
     - {b write clustering / write-behind}: dirty blocks are written back
       lazily; contiguous runs flush as single transfers. [commit] waits
       for the object's dirty data to be stable (NFS V3 commit semantics).
@@ -38,7 +38,9 @@ val disk_backend : Slice_sim.Engine.t -> Disk.t -> backend
 type t
 
 val create : Slice_sim.Engine.t -> backend:backend -> capacity:int -> name:string -> t
-(** [capacity] in bytes. *)
+(** [capacity] in bytes; [Invalid_argument] below one block. Every
+    object is found once by id and indexes its own resident and dirty
+    blocks, so [invalidate_object] visits only that object's blocks. *)
 
 val read : t -> obj:int64 -> block:int -> unit
 (** Fiber: ensure the block is resident. *)
@@ -48,7 +50,8 @@ val write : t -> obj:int64 -> block:int -> unit
 
 val commit : t -> obj:int64 -> unit
 (** Fiber: flush the object's dirty blocks with clustering and wait until
-    all outstanding write-backs (of any object) are stable. *)
+    the write-backs of this object outstanding at the call are stable —
+    not other objects', and not ones issued later. *)
 
 val commit_all : t -> unit
 val invalidate_object : t -> int64 -> unit

@@ -47,6 +47,37 @@ let rec composite e =
   | Pexp_constraint (e, _) -> composite e
   | _ -> false
 
+(* Names the file binds to a [Hashtbl.Make]/[MakeSeeded] application:
+   their [create] allocates a hash table just as [Hashtbl.create] does. *)
+let functor_tables str =
+  let names = ref [] in
+  let rec applies_hashtbl_functor me =
+    match me.pmod_desc with
+    | Pmod_constraint (me, _) -> applies_hashtbl_functor me
+    | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) -> (
+        match parts txt with [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> true | _ -> false)
+    | _ -> false
+  in
+  let iter =
+    {
+      Ast_iterator.default_iterator with
+      module_binding =
+        (fun it mb ->
+          (match mb.pmb_name.txt with
+          | Some name when applies_hashtbl_functor mb.pmb_expr -> names := name :: !names
+          | _ -> ());
+          Ast_iterator.default_iterator.module_binding it mb);
+    }
+  in
+  iter.Ast_iterator.structure iter str;
+  !names
+
+let r1_message table =
+  Printf.sprintf
+    "R1: %s.create in a long-lived module — use Lru/Table or add a `lint: bounded` pragma with \
+     a reason"
+    table
+
 let structure (cfg : Config.t) ~file str =
   let findings = ref [] in
   let in_sorted = ref false in
@@ -55,6 +86,7 @@ let structure (cfg : Config.t) ~file str =
   let r1 = cfg.Config.r1_scope file in
   let e1 = cfg.Config.e1_scope file in
   let p1 = cfg.Config.p1_scope file in
+  let tables = if r1 then "Hashtbl" :: functor_tables str else [] in
   let add (loc : Location.t) rule msg =
     let p = loc.Location.loc_start in
     findings :=
@@ -82,13 +114,9 @@ let structure (cfg : Config.t) ~file str =
              (Printf.sprintf
                 "D2: Hashtbl.%s feeds output here — sort the keys first or add a pragma" f)
        | _ -> ());
-    (if r1 then
-       match p with
-       | [ "Hashtbl"; "create" ] ->
-           add loc Finding.R1
-             "R1: Hashtbl.create in a long-lived module — use Lru/Table or add a `lint: \
-              bounded` pragma with a reason"
-       | _ -> ());
+    (match p with
+    | [ table; "create" ] when List.mem table tables -> add loc Finding.R1 (r1_message table)
+    | _ -> ());
     (if e1 then
        match e1_poly_fun p with
        | Some f ->

@@ -1,9 +1,8 @@
 (** Capacity-bounded LRU cache with eviction callbacks.
 
-    Used for the µproxy attribute cache, server buffer caches, and the
-    block-map fragment cache. Capacity is measured in abstract units
-    (entries or bytes) supplied per item, so an 8 KB block can weigh 8192
-    while an attribute entry weighs 1. *)
+    Used for the µproxy's attribute, name and block-map caches and the
+    NFS endpoints' duplicate-request cache. Capacity is measured in
+    abstract units supplied per item (default weight 1). *)
 
 type ('k, 'v) t
 

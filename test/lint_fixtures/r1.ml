@@ -10,3 +10,14 @@ let create () = { cache = Hashtbl.create 64; log = Hashtbl.create 64 }
 let create_bounded () =
   (* lint: bounded — fixture: rows retired when the request completes *)
   Hashtbl.create 64
+
+(* Functorized tables allocate through the functor's [create]. *)
+module Ids = Hashtbl.Make (Int)
+
+(* Positive: a functorized table with no bound and no pragma. *)
+let ids () : string Ids.t = Ids.create 64
+
+(* Suppressed: the pragma covers a functorized table too. *)
+let ids_bounded () : string Ids.t =
+  (* lint: bounded — fixture: one row per live request *)
+  Ids.create 64

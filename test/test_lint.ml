@@ -375,7 +375,7 @@ let suite =
     fixture_case "D2 fires and suppresses"
       (fires Finding.D2 [ "lint_fixtures/d2.ml" ] ~live:1 ~suppressed:1);
     fixture_case "R1 fires and suppresses"
-      (fires Finding.R1 [ "lint_fixtures/r1.ml" ] ~live:2 ~suppressed:1);
+      (fires Finding.R1 [ "lint_fixtures/r1.ml" ] ~live:3 ~suppressed:2);
     fixture_case "E1 fires and suppresses"
       (fires Finding.E1 [ "lint_fixtures/e1.ml" ] ~live:4 ~suppressed:1);
     fixture_case "P1 fires and suppresses"

@@ -8,6 +8,7 @@ let () =
       ("net", Test_net.suite);
       ("nfs", Test_nfs.suite);
       ("disk", Test_disk.suite);
+      ("bcache", Test_bcache.suite);
       ("wal", Test_wal.suite);
       ("storage", Test_storage.suite);
       ("dir", Test_dir.suite);
