@@ -15,17 +15,25 @@ let holds op v bound =
   | Ge -> v >= bound
   | Eq -> v = bound
 
-(* Allocation ratchet on the µproxy packet path, the full-ensemble
-   SPECsfs figure recorded before it, and the share of FIFO throughput
-   the QoS storm must keep. *)
+(* Allocation ratchet on the µproxy packet path, and the share of FIFO
+   throughput the QoS storm must keep. *)
 let packet_words_budget = 64.0
-let specsfs_baseline_words = 5963.0
 let storm_throughput_floor = 0.95
 
-(* Ceiling on the engine queue's peak during the SPECsfs run: 60 events
-   measured once answered calls cancel their retransmit timers, plus a
-   100 % margin. Dead timers held it at 10 895. *)
-let specsfs_heap_peak_bound = 120.0
+(* Minor words per completed op in each perfbench workload's window, at
+   the measured value (2132.5, 1412.8 and 1298.5) plus 2 %: a ratchet
+   that later changes only tighten. A workload without a bound fails its
+   gate. *)
+let words_ratchet = [ ("sfs", 2175.0); ("bulk", 1441.0); ("storm", 1324.5) ]
+
+(* Ceiling on the engine queue's peak over the sfs window: 125 events
+   measured, plus a 100 % margin. Dead retransmit timers held it near
+   27 000 on this workload (DESIGN.md §15). *)
+let sfs_heap_peak_bound = 250.0
+
+(* Workloads whose windows may fail ops by design: storm's admission
+   control sheds arrivals. *)
+let may_fail = [ "storm" ]
 
 (* Buffer-cache hits allocate nothing since each object indexes its own
    blocks (the tuple-keyed Lru before it spent 11 words per read hit and
@@ -36,8 +44,31 @@ let specsfs_heap_peak_bound = 120.0
 let bcache_hit_words_budget = 1.0
 let bcache_invalidate_ratio_bound = 4.0
 
+let gate name path op bound = { name; path; op; bound }
+
+(* The gates over each perfbench workload's window row, each named after
+   its path. *)
+let window_gates =
+  List.concat_map
+    (fun (wl : Perfbench.Workloads.t) ->
+      let name = wl.Perfbench.Workloads.name in
+      let w field op bound =
+        let path = Printf.sprintf "window.%s.%s" name field in
+        gate path path op bound
+      in
+      [
+        w "ops" Gt 0.0;
+        w "errors" Eq 0.0;
+        w "words_per_op" Le (Option.value ~default:0.0 (List.assoc_opt name words_ratchet));
+        w "host_ns_per_proxy_pkt" Gt 0.0;
+        w "repeat_identical" Eq 1.0;
+      ]
+      @ (if List.mem name may_fail then [] else [ w "failed" Eq 0.0 ])
+      @ if name = Perfbench.Workloads.sfs.name then [ w "heap_peak" Le sfs_heap_peak_bound ] else [])
+    Perfbench.Workloads.all
+
 let all =
-  let g name path op bound = { name; path; op; bound } in
+  let g = gate in
   [
     g "micro.nonempty" "micro.#" Gt 0.0;
     g "micro.named" "micro.*.name.#" Gt 0.0;
@@ -67,18 +98,13 @@ let all =
     g "failover.ownership_violations" "failover.audit_ownership_violations" Eq 0.0;
     g "failover.zombies_probed" "failover.zombies_probed" Gt 0.0;
     g "failover.zombies_unfenced" "failover.zombies_unfenced" Eq 0.0;
-    g "specsfs_full.packets" "specsfs_full.packets" Gt 0.0;
-    g "specsfs_full.delivered_ops_s" "specsfs_full.delivered_ops_s" Ge 0.0;
-    g "specsfs_full.ops_measured" "specsfs_full.ops_measured" Ge 0.0;
-    g "specsfs_full.words_per_packet" "specsfs_full.words_per_packet" Ge 0.0;
-    g "specsfs_full.ns_per_packet" "specsfs_full.ns_per_packet" Ge 0.0;
-    g "specsfs_full.under_baseline" "specsfs_full.words_per_packet" Lt specsfs_baseline_words;
-    g "specsfs_full.engine_heap_peak" "specsfs_full.engine_heap_peak" Le specsfs_heap_peak_bound;
-    g "packet_path.packets" "packet_path.packets" Gt 0.0;
-    g "packet_path.words_per_packet" "packet_path.words_per_packet" Ge 0.0;
-    g "packet_path.ns_per_packet" "packet_path.ns_per_packet" Ge 0.0;
+  ]
+  @ window_gates
+  @ [
+    g "packet_path.words_per_packet" "packet_path.words_per_packet" Gt 0.0;
+    g "packet_path.ns_per_packet" "packet_path.ns_per_packet" Gt 0.0;
     g "packet_path.words_budget" "packet_path.words_per_packet" Lt packet_words_budget;
-    g "packet_path.not_slower_than_full" "packet_path.ns_below_full_system" Ge 0.0;
+    g "packet_path.not_slower_than_full" "packet_path.ns_below_full_system" Gt 0.0;
     g "storm.p99_bound" "storm.interactive_p99_on_ms" Le
       Slice_experiments.Storm.default_p99_bound_ms;
     g "storm.p99_on_positive" "storm.interactive_p99_on_ms" Gt 0.0;

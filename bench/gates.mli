@@ -13,6 +13,9 @@ type gate = { name : string; path : string; op : op; bound : float }
 val packet_words_budget : float
 (** 64: the µproxy packet path's words-per-packet ceiling. *)
 
+val words_ratchet : (string * float) list
+(** Each perfbench workload's words-per-op ceiling, by workload name. *)
+
 val all : gate list
 (** Every gate [bench --smoke] declares, in section order. *)
 

@@ -1,16 +1,14 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus Bechamel microbenchmarks of the µproxy hot paths and
-   ablations of the design choices called out in DESIGN.md.
+(* Benchmark harness: Bechamel microbenchmarks of the µproxy hot paths,
+   the metadata-offload exhibit with its artifact section, ablations of
+   the design choices called out in DESIGN.md, and the CI smoke that
+   writes BENCH.json. The paper's tables and figures run from
+   bin/slice_sim; the windowed end-to-end measurements come from the
+   perfbench library.
 
    Usage:
-     dune exec bench/main.exe                 -- everything, bench scale
-     dune exec bench/main.exe -- table2       -- one exhibit
-     dune exec bench/main.exe -- all --full   -- slower, larger scales
-     dune exec bench/main.exe -- --smoke      -- BENCH.json + its gates
-
-   Scales shrink file sizes / op counts / file sets (and, for SPECsfs,
-   the server caches by the same rule) so the whole run finishes in
-   minutes; shapes are scale-invariant (see EXPERIMENTS.md). *)
+     dune exec bench/main.exe                 -- micro, offload, ablation
+     dune exec bench/main.exe -- ablation     -- any of micro, offload, ablation
+     dune exec bench/main.exe -- --smoke      -- BENCH.json + its gates *)
 
 module E = Slice_experiments
 module Nfs = Slice_nfs.Nfs
@@ -20,11 +18,11 @@ module Packet = Slice_net.Packet
 module Cksum = Slice_net.Cksum
 module Routekey = Slice_nfs.Routekey
 module Json = Slice_util.Json
-module Specsfs = Slice_workload.Specsfs
-module Net = Slice_net.Net
-module Host = Slice_storage.Host
 module Engine = Slice_sim.Engine
 module Bcache = Slice_disk.Bcache
+module W = Perfbench.Workloads
+module Rep = Perfbench.Rep
+module Ledger = Perfbench.Ledger
 
 (* ---- Bechamel microbenchmarks: the real code on the µproxy's critical
    path, one group per exhibit that leans on it ---- *)
@@ -205,157 +203,33 @@ let run_micro ?(quota = 0.25) () =
       (name, ns name, wpo name))
     names
 
-(* ---- the µproxy's per-packet cost, two ways: through a full SPECsfs
-   ensemble (the whole system per intercepted packet) and through one
-   installed µproxy driven directly (the packet path alone) ---- *)
+(* ---- end to end through perfbench: each workload's measured window,
+   setup excluded, and the installed µproxy driven directly ---- *)
 
-(* One small SPECsfs mix through a full Slice ensemble, Gc counters and
-   CPU clock around the proxy loop; packets come from the µproxies'
-   interception counters so the denominator is real routed traffic. A
-   tick every 0.5 ms of simulated time records the engine queue's peak
-   — it reads the queue and nothing else, so the run's own events keep
-   their order — and stops once nothing else is queued. *)
-let specsfs_packet_cost ~scale =
-  let ens =
-    Slice.Ensemble.create
-      {
-        Slice.Ensemble.default_config with
-        storage_nodes = 2;
-        dir_servers = 1;
-        smallfile_servers = 2;
-      }
-  in
-  let eng = Slice.Ensemble.engine ens in
-  let clients =
-    Array.init 2 (fun i ->
-        let host, _ = Slice.Ensemble.add_client ens ~name:(Printf.sprintf "sfs%d" i) in
-        Slice_workload.Client.create host ~server:(Slice.Ensemble.virtual_addr ens)
-          ~port:(1000 + i) ())
-  in
-  let cfg =
-    {
-      Specsfs.default_config with
-      offered_iops = 300.0;
-      processes = 4;
-      duration = 2.0;
-      warmup = 0.5;
-      bytes_per_iops = 1e7 *. scale;
-      seed = 11;
-    }
-  in
-  let heap_peak = ref 0 in
-  let rec tick () =
-    let n = Engine.pending eng in
-    if n > !heap_peak then heap_peak := n;
-    if n > 0 then Engine.schedule eng 5e-4 tick
-  in
-  Engine.schedule eng 0.0 tick;
-  let w0 = Gc.minor_words () in
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let t0 = Sys.time () in
-  let r = Specsfs.run eng ~clients ~root:Slice.Ensemble.root cfg in
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let dt = Sys.time () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
-  let packets =
-    List.fold_left
-      (fun acc p -> acc + Slice.Proxy.packets_intercepted p)
-      0
-      (Slice.Ensemble.client_proxies ens)
-  in
-  let denom = float_of_int (max 1 packets) in
-  (r, packets, dw /. denom, dt *. 1e9 /. denom, !heap_peak)
+(* The sub-seed every window row runs: perfbench's first for --seed 1. *)
+let window_seed = 1009
 
-let packet_mix i =
-  let fh =
-    { Fh.file_id = Int64.of_int (1000 + (i mod 8)); gen = 1; ftype = Fh.Reg; mirrored = false;
-      attr_site = 0; cap = 0L }
-  in
-  let attr = Nfs.default_attr ~ftype:Fh.Reg ~fileid:fh.Fh.file_id ~now:0.0 in
-  match i mod 5 with
-  | 0 -> (Nfs.Lookup (Fh.root, Printf.sprintf "f%d" (i mod 8)), Ok (Nfs.RLookup (fh, attr)))
-  | 1 -> (Nfs.Getattr fh, Ok (Nfs.RGetattr attr))
-  | 2 -> (Nfs.Access (fh, 1), Ok (Nfs.RAccess (1, attr)))
-  | 3 ->
-      ( Nfs.Read (fh, Int64.of_int (i mod 32 * 8192), 8192),
-        Ok (Nfs.RRead (Nfs.Synthetic 8192, false, attr)) )
-  | _ ->
-      ( Nfs.Write (fh, Int64.of_int (i mod 32 * 8192), Nfs.Unstable, Nfs.Synthetic 4096),
-        Ok (Nfs.RWrite (4096, Nfs.Unstable, attr)) )
+(* One plain repetition per workload, and the same sub-seed once more:
+   as in perfbench's own cycle, the repeat must reproduce the simulation
+   and the minor words exactly. *)
+let window_reps () =
+  List.map
+    (fun (wl : W.t) ->
+      let r = Rep.run wl ~seed:window_seed Rep.plain in
+      let again = Rep.run wl ~seed:window_seed Rep.plain in
+      (wl.W.name, r, Rep.sim_key again = Rep.sim_key r && again.Rep.words = r.Rep.words))
+    W.all
 
-(* Words and nanoseconds per packet through the installed µproxy —
-   egress/ingress filters, cursor peeks, pending pool, forwarding, reply
-   patching — over a SPECsfs-shaped mix of calls and replies. Meta fast
-   path off (it would answer from cache and skip forwarding) and the
-   expiry sweep off (idle timers would pollute the Gc window). *)
-let packet_path_cost () =
-  let eng = Engine.create () in
-  let net = Net.create eng () in
-  let chost = Host.create net ~name:"client" () in
-  let dhost = Host.create net ~name:"dir" () in
-  let s0 = Host.create net ~name:"s0" () in
-  let s1 = Host.create net ~name:"s1" () in
-  let vaddr = Net.add_node net ~name:"virt" in
-  let params =
-    {
-      Slice.Params.default with
-      threshold = 0;
-      meta_cache_enabled = false;
-      pending_sweep_interval = 0.0;
-    }
-  in
-  let proxy =
-    Slice.Proxy.install chost ~params
-      {
-        Slice.Proxy.virtual_addr = vaddr;
-        dir_table = Slice.Table.create [| dhost.Host.addr |];
-        smallfile_table = None;
-        storage = Some (Slice.Table.create [| s0.Host.addr; s1.Host.addr |]);
-        coordinator = (fun () -> None);
-      }
-  in
-  let n = 2048 in
-  let pkts =
-    Array.init n (fun i ->
-        Packet.make ~src:chost.Host.addr ~dst:vaddr ~sport:1000 ~dport:2049
-          (Codec.encode_call ~xid:(0x100000 + i) (fst (packet_mix i))))
-  in
-  let rpkts =
-    Array.init n (fun i ->
-        Packet.make ~src:dhost.Host.addr ~dst:chost.Host.addr ~sport:2049 ~dport:1000
-          (Codec.encode_reply ~xid:(0x100000 + i) (snd (packet_mix i))))
-  in
-  let batch = 128 in
-  let run_batch b =
-    Engine.spawn eng (fun () ->
-        for i = b * batch to ((b + 1) * batch) - 1 do
-          Net.send net pkts.(i)
-        done);
-    Engine.run eng;
-    Engine.spawn eng (fun () ->
-        for i = b * batch to ((b + 1) * batch) - 1 do
-          Net.send net rpkts.(i)
-        done);
-    Engine.run eng
-  in
-  run_batch 0 (* warm-up: pool buffers and caches reach steady state *);
-  let before =
-    Slice.Proxy.packets_intercepted proxy + Slice.Proxy.replies_processed proxy
-  in
-  let w0 = Gc.minor_words () in
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let t0 = Sys.time () in
-  for b = 1 to (n / batch) - 1 do
-    run_batch b
-  done;
-  (* lint: D1 ok — real CPU time is the measurement here, not part of the simulated world *)
-  let dt = Sys.time () -. t0 in
-  let dw = Gc.minor_words () -. w0 in
-  let packets =
-    Slice.Proxy.packets_intercepted proxy + Slice.Proxy.replies_processed proxy - before
-  in
-  let denom = float_of_int (max 1 packets) in
-  (packets, dw /. denom, dt *. 1e9 /. denom)
+(* The engine queue's peak over the sfs window, from the heap tick that
+   only a probed repetition runs. *)
+let sfs_heap_peak () =
+  let prof = Some (Perfbench.Prof.create ()) in
+  snd (Option.get (Rep.run W.sfs ~seed:window_seed { Rep.plain with prof }).Rep.heap)
+
+(* Host ns per packet through the µproxies: the whole ensemble's window
+   cost spread over the traffic they intercepted and answered. *)
+let host_ns_per_proxy_pkt r =
+  Ledger.ratio (1e9 *. Rep.per_op r r.Rep.host_s) (Rep.layer r "proxy.pkts_per_op")
 
 (* ---- BENCH.json: one section per exhibit plus the gates over them
    (bench/gates.ml) ---- *)
@@ -443,24 +317,34 @@ let failover_section (t : E.Failover.t) =
       ("zombies_unfenced", count (probed - fenced));
     ]
 
-let specsfs_section ((r : Specsfs.result), packets, wpp, nspp, heap_peak) =
+(* One row per workload, keyed by its name; sfs also carries the heap
+   peak. *)
+let window_section reps ~sfs_heap_peak =
   Json.Obj
-    [
-      ("delivered_ops_s", num r.Specsfs.delivered);
-      ("ops_measured", count r.Specsfs.ops_measured);
-      ("packets", count packets);
-      ("words_per_packet", num wpp);
-      ("ns_per_packet", num nspp);
-      ("engine_heap_peak", count heap_peak);
-    ]
+    (List.map
+       (fun (name, r, repeat_identical) ->
+         let t = r.Rep.tally in
+         ( name,
+           Json.Obj
+             ([
+                ("ops", count t.W.completed);
+                ("failed", count t.W.failed);
+                ("errors", count (List.length r.Rep.errors));
+                ("words_per_op", num (Rep.per_op r r.Rep.words));
+                ("host_ns_per_proxy_pkt", num (host_ns_per_proxy_pkt r));
+                ("repeat_identical", count (Bool.to_int repeat_identical));
+              ]
+             @ if name = W.sfs.W.name then [ ("heap_peak", num sfs_heap_peak) ] else []) ))
+       reps)
 
-let packet_path_section (packets, wpp, nspp) ~full_system_ns =
+(* Direct-drive µproxy cost, and how far it sits below the full sfs
+   ensemble's cost per µproxy packet. *)
+let packet_path_section (ns, words) ~full_system_ns =
   Json.Obj
     [
-      ("packets", count packets);
-      ("words_per_packet", num wpp);
-      ("ns_per_packet", num nspp);
-      ("ns_below_full_system", num (full_system_ns -. nspp));
+      ("words_per_packet", num words);
+      ("ns_per_packet", num ns);
+      ("ns_below_full_system", num (full_system_ns -. ns));
     ]
 
 (* Minor words per op over [n] ops: exact, so the same code gives the
@@ -625,21 +509,21 @@ let stripe_unit_ablation ~scale =
 
 (* ---- driver ---- *)
 
+let targets = [ "micro"; "offload"; "ablation"; "all" ]
+let usage = "usage: main.exe [--smoke] [micro] [offload] [ablation] [all]"
+
+(* Whether --smoke was given, and the targets asked for ([all] when
+   none). Any other argument is an error: a mistyped target must not
+   fall back to running the whole suite. *)
 let parse_args () =
-  let args = Array.to_list Sys.argv in
-  let full = List.mem "--full" args in
-  let smoke = List.mem "--smoke" args in
-  let which =
-    List.filter
-      (fun a ->
-        List.mem a
-          [
-            "table2"; "table3"; "fig3"; "fig4"; "fig5"; "fig6"; "offload"; "micro"; "ablation";
-            "all";
-          ])
-      args
-  in
-  ((match which with [] -> "all" | w :: _ -> w), full, smoke)
+  let args = List.tl (Array.to_list Sys.argv) in
+  match List.find_opt (fun a -> a <> "--smoke" && not (List.mem a targets)) args with
+  | Some bad ->
+      Printf.eprintf "main.exe: unknown argument %s\n%s\n" bad usage;
+      exit 2
+  | None ->
+      let which = List.filter (( <> ) "--smoke") args in
+      (List.mem "--smoke" args, if which = [] then [ "all" ] else which)
 
 (* CI smoke: every exhibit that carries a gate, at tiny scale, into one
    BENCH.json re-checked from disk. Exit 1 on any failed gate so the
@@ -672,15 +556,23 @@ let run_smoke () =
         tk.E.Failover.tk_class (tk.E.Failover.tk_detect *. 1e3) (tk.E.Failover.tk_mttr *. 1e3)
         tk.E.Failover.tk_sites)
     fo.E.Failover.takeovers;
-  print_endline "bench smoke: µproxy cost per packet (full SPECsfs ensemble, scale 0.01)";
-  let ((r, s_packets, s_wpp, s_nspp, s_heap) as sfs) = specsfs_packet_cost ~scale:0.01 in
-  Printf.printf
-    "  specsfs_full: %d packets, %.1f words/packet, %.0f ns/packet (%.0f ops/s), engine heap peak %d\n"
-    s_packets s_wpp s_nspp r.Specsfs.delivered s_heap;
+  print_endline "bench smoke: perfbench windows (sfs, bulk, storm; one sub-seed, run twice)";
+  let reps = window_reps () in
+  List.iter
+    (fun (name, r, same) ->
+      Printf.printf
+        "  window %-5s: %d ops, %d failed, %.1f words/op, %.0f host ns per µproxy packet%s\n" name
+        r.Rep.tally.W.completed r.Rep.tally.W.failed (Rep.per_op r r.Rep.words)
+        (host_ns_per_proxy_pkt r)
+        (if same then "" else ", REPEAT DIFFERS"))
+    reps;
+  let heap_peak = sfs_heap_peak () in
+  Printf.printf "  window sfs  : engine heap peak %.0f\n" heap_peak;
+  let _, sfs, _ = List.find (fun (name, _, _) -> name = W.sfs.W.name) reps in
   print_endline "bench smoke: µproxy cost per packet (packet path, direct drive)";
-  let ((packets, wpp, nspp) as pp) = packet_path_cost () in
-  Printf.printf "  packet path: %d packets, %.1f words/packet, %.0f ns/packet (budget %.0f)\n"
-    packets wpp nspp Gates.packet_words_budget;
+  let ((nspp, wpp) as pp) = Perfbench.Direct.measure () in
+  Printf.printf "  packet path: %.1f words/packet, %.0f ns/packet (budget %.0f)\n" wpp nspp
+    Gates.packet_words_budget;
   print_endline "bench smoke: multi-tenant storm (FIFO vs per-tenant QoS)";
   let st = E.Storm.compute () in
   Printf.printf
@@ -700,8 +592,8 @@ let run_smoke () =
       ("offload", offload_section offload);
       ("scale", scale_section sc);
       ("failover", failover_section fo);
-      ("specsfs_full", specsfs_section sfs);
-      ("packet_path", packet_path_section pp ~full_system_ns:s_nspp);
+      ("window", window_section reps ~sfs_heap_peak:heap_peak);
+      ("packet_path", packet_path_section pp ~full_system_ns:(host_ns_per_proxy_pkt sfs));
       ("storm", E.Storm.json_of st);
       ("bcache", bcache_section bc);
     ]
@@ -710,19 +602,19 @@ let run_smoke () =
   else exit 1
 
 let () =
-  let which, full, smoke = parse_args () in
+  let smoke, which = parse_args () in
   if smoke then begin
     run_smoke ();
     print_endline "\nbench: done";
     exit 0
   end;
-  let want x = which = "all" || which = x in
+  let want x = List.mem "all" which || List.mem x which in
   print_endline "Slice reproduction benchmarks (Anderson/Chase/Vahdat, OSDI 2000)";
-  Printf.printf "mode: %s%s\n" which (if full then " (--full)" else "");
+  Printf.printf "mode: %s\n" (String.concat " " which);
   let micro = if want "micro" then run_micro () else [] in
   let offload_points =
     if want "offload" then begin
-      let points = E.Offload.compute ~scale:(if full then 1.0 else 0.25) () in
+      let points = E.Offload.compute ~scale:0.25 () in
       E.Report.print (E.Offload.report_of points);
       points
     end
@@ -738,23 +630,9 @@ let () =
     let gates = List.filter (fun g -> List.mem_assoc (Gates.section g) sections) Gates.all in
     if not (write_artifact sections gates) then exit 1
   end;
-  if want "table2" then E.Report.print (E.Table2.report ~scale:(if full then 0.4 else 0.08) ());
-  if want "table3" then E.Report.print (E.Table3.report ~scale:(if full then 0.5 else 0.05) ());
-  if want "fig3" then E.Report.print (E.Fig3.report ~scale:(if full then 0.1 else 0.03) ());
-  if want "fig4" then E.Report.print (E.Fig4.report ~scale:(if full then 0.08 else 0.025) ());
-  if want "fig5" || want "fig6" then begin
-    let t =
-      E.Fig5.compute
-        ~scale:(if full then 0.02 else 0.006)
-        ~points_per_curve:(if full then 5 else 3)
-        ()
-    in
-    if want "fig5" then E.Report.print (E.Fig5.report_fig5 t);
-    if want "fig6" then E.Report.print (E.Fig5.report_fig6 t)
-  end;
   if want "ablation" then begin
     hash_balance_ablation ();
-    threshold_ablation ~scale:(if full then 1.0 else 0.3);
-    stripe_unit_ablation ~scale:(if full then 1.0 else 0.25)
+    threshold_ablation ~scale:0.3;
+    stripe_unit_ablation ~scale:0.25
   end;
   print_endline "\nbench: done"

@@ -75,11 +75,25 @@ let real_artifact_passes () =
     "every gate declared" (List.length Gates.all)
     (match Json.member "gates" artifact with Some (Json.Arr gs) -> List.length gs | _ -> 0)
 
+(* A workload added to perfbench gets window gates automatically, but
+   its words ratchet has to be measured and written down. *)
+let every_workload_ratcheted () =
+  List.iter
+    (fun (wl : Perfbench.Workloads.t) ->
+      let name = wl.Perfbench.Workloads.name in
+      if not (List.mem_assoc name Gates.words_ratchet) then
+        Alcotest.failf "workload %s has no words_per_op ratchet" name)
+    Perfbench.Workloads.all
+
 let () =
   let per_gate f = List.map (fun (g : Gates.gate) -> (g.Gates.name, `Quick, f g)) Gates.all in
   Alcotest.run "bench-gates"
     [
-      ("artifact", [ ("real smoke artifact passes", `Quick, real_artifact_passes) ]);
+      ( "artifact",
+        [
+          ("real smoke artifact passes", `Quick, real_artifact_passes);
+          ("every workload ratcheted", `Quick, every_workload_ratcheted);
+        ] );
       ("past-bound", per_gate pushed_past);
       ("deleted", per_gate deleted);
     ]
