@@ -369,6 +369,87 @@ let ns_per_op ~n op =
   in
   List.fold_left Float.min infinity (List.init 5 (fun _ -> batch ()))
 
+(* ---- the engine kernel, driven directly: words and ns per event at
+   two queue sizes, and words per sleep and per suspension ---- *)
+
+(* An engine holding [pending] events far past any measured one, so
+   every measured event sifts up to the root and back down through a
+   heap of that size. *)
+let loaded_engine pending =
+  let eng = Engine.create () in
+  for i = 1 to pending do
+    Engine.schedule_at eng (1e9 +. float_of_int i) ignore
+  done;
+  eng
+
+(* One event scheduled and popped: with a delay, whose time the engine
+   computes and so boxes; or at the clock itself, a time already boxed. *)
+let schedule_pop eng () =
+  Engine.schedule eng 1e-6 ignore;
+  ignore (Engine.step eng)
+
+let schedule_at_pop eng () =
+  Engine.schedule_at eng (Engine.now eng) ignore;
+  ignore (Engine.step eng)
+
+(* Minor words per round trip of a fiber parked [n] times by [park],
+   after a warm-up that fills the cell pool. *)
+let fiber_words park =
+  let eng = Engine.create () and n = 10_000 and words = ref Float.nan in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to 256 do
+        park eng
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        park eng
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  Engine.run eng;
+  !words
+
+(* A sleep, and the same wait through [suspend] with the thunk-wrapped
+   waker its callers schedule. *)
+let sleep_trip eng = Engine.sleep eng 1e-6
+let suspend_trip eng = Engine.suspend (fun wake -> Engine.schedule eng 1e-6 (fun () -> wake ()))
+
+type sim_cost = {
+  words_64 : float;
+  words_4096 : float;
+  boxed_words_4096 : float;
+  sleep_words : float;
+  suspend_words : float;
+  ns_64 : float;
+  ns_4096 : float;
+}
+
+let sim_cost () =
+  let e64 = loaded_engine 64 and e4096 = loaded_engine 4096 in
+  let words eng op = words_per_op ~n:10_000 (op eng) in
+  let ns eng = ns_per_op ~n:100_000 (schedule_pop eng) in
+  {
+    words_64 = words e64 schedule_pop;
+    words_4096 = words e4096 schedule_pop;
+    boxed_words_4096 = words e4096 schedule_at_pop;
+    sleep_words = fiber_words sleep_trip;
+    suspend_words = fiber_words suspend_trip;
+    ns_64 = ns e64;
+    ns_4096 = ns e4096;
+  }
+
+let sim_section c =
+  Json.Obj
+    [
+      ("schedule_pop_words_64", num c.words_64);
+      ("schedule_pop_words_4096", num c.words_4096);
+      ("schedule_at_pop_words_4096", num c.boxed_words_4096);
+      ("sleep_words", num c.sleep_words);
+      ("suspend_words", num c.suspend_words);
+      ("schedule_pop_ns_64", num c.ns_64);
+      ("schedule_pop_ns_4096", num c.ns_4096);
+      ("ns_ratio_4096_64", num (c.ns_4096 /. c.ns_64));
+    ]
+
 (* Words per read and write hit, and what invalidating a 4-block object
    costs beside 8192 resident blocks against beside 1024: a cache that
    scans every resident block to find one object's pays ~8x. *)
@@ -586,6 +667,13 @@ let run_smoke () =
   Printf.printf
     "  bcache: %.2f words/read hit, %.2f words/write hit, invalidate %.0f ns at 1024 blocks, %.0f at 8192\n"
     read_words write_words ns_1024 ns_8192;
+  print_endline "bench smoke: engine kernel (schedule+pop at 64 and 4096 pending, sleep, suspend)";
+  let sc_sim = sim_cost () in
+  Printf.printf
+    "  sim: %.2f / %.2f words per schedule+pop at 64 / 4096 pending (%.2f at a boxed time), \
+     %.2f per sleep, %.2f per suspend; %.1f / %.1f ns (x%.2f)\n"
+    sc_sim.words_64 sc_sim.words_4096 sc_sim.boxed_words_4096 sc_sim.sleep_words
+    sc_sim.suspend_words sc_sim.ns_64 sc_sim.ns_4096 (sc_sim.ns_4096 /. sc_sim.ns_64);
   let sections =
     [
       ("micro", micro_section micro);
@@ -596,6 +684,7 @@ let run_smoke () =
       ("packet_path", packet_path_section pp ~full_system_ns:(host_ns_per_proxy_pkt sfs));
       ("storm", E.Storm.json_of st);
       ("bcache", bcache_section bc);
+      ("sim", sim_section sc_sim);
     ]
   in
   if write_artifact sections Gates.all then print_endline "bench smoke: BENCH.json OK"

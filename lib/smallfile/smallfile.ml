@@ -59,9 +59,10 @@ let physical_size_of n =
 let site_of t fh =
   if t.nsites <= 1 then 0 else Slice_nfs.Routekey.file_site ~nsites:t.nsites fh
 
-let filerec_of t fh =
+(* [site] must be [site_of t fh]. Read and Write hash it once for their
+   admission check and pass it on, so no request hashes a handle twice. *)
+let filerec_of t ~site fh =
   let fid = fh.Fh.file_id in
-  let site = site_of t fh in
   match Hashtbl.find_opt t.files fid with
   | Some fr ->
       fr.site <- site;
@@ -173,13 +174,13 @@ let handle t span (call : Nfs.call) : Nfs.response =
   match call with
   | Nfs.Null -> Ok Nfs.RNull
   | Nfs.Getattr fh ->
-      let fr = filerec_of t fh in
+      let fr = filerec_of t ~site:(site_of t fh) fh in
       Ok (Nfs.RGetattr (attr_of fh fr))
   | Nfs.Read (fh, off64, count) ->
       let site = site_of t fh in
       if not (Tenure.admit t.tenure site ~write:false) then Error Nfs.ERR_MISDIRECTED
       else begin
-      let fr = filerec_of t fh in
+      let fr = filerec_of t ~site fh in
       let off = Int64.to_int off64 in
       let count = max 0 (min count (fr.size - off)) in
       t.reads <- t.reads + 1;
@@ -212,7 +213,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
          whichever side owns the site once the move commits or aborts. *)
       if not (Tenure.admit t.tenure site ~write:true) then Error Nfs.ERR_MISDIRECTED
       else begin
-      let fr = filerec_of t fh in
+      let fr = filerec_of t ~site fh in
       let off = Int64.to_int off64 in
       let len = Nfs.wdata_length wdata in
       let fin = off + len in
@@ -253,7 +254,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
       end
       end
   | Nfs.Commit (fh, _, _) ->
-      let fr = filerec_of t fh in
+      let fr = filerec_of t ~site:(site_of t fh) fh in
       disk_timed (fun () ->
           Bcache.commit t.cache ~obj:data_obj;
           Bcache.commit t.cache ~obj:map_obj);
@@ -266,7 +267,7 @@ let handle t span (call : Nfs.call) : Nfs.response =
       | None -> ());
       Ok Nfs.RRemove
   | Nfs.Setattr (fh, s) -> (
-      let fr = filerec_of t fh in
+      let fr = filerec_of t ~site:(site_of t fh) fh in
       match s.Nfs.set_size with
       | Some nsz64 ->
           let nsz = min (Int64.to_int nsz64) t.threshold in

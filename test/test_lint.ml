@@ -338,7 +338,24 @@ let probe_hot_roots () =
   let next = ref 0 in
   agree "Engine.cancel" (fun () ->
       Slice_sim.Engine.cancel eng timers.(!next land 4095);
-      incr next)
+      incr next);
+  (* the flat heap's key comparisons and moves, the pool stack, and the
+     whole schedule-then-pop cycle beside 64 pending events, at a time
+     already boxed (the clock's own) *)
+  let eng = Slice_sim.Engine.create () in
+  for i = 1 to 64 do
+    Slice_sim.Engine.schedule_at eng (1e9 +. float_of_int i) fire
+  done;
+  let schedule_pop () =
+    Slice_sim.Engine.schedule_at eng (Slice_sim.Engine.now eng) fire;
+    Slice_sim.Engine.step eng
+  in
+  List.iter
+    (fun name -> agree name schedule_pop)
+    [
+      "Engine.less"; "Engine.copy"; "Engine.move"; "Engine.take"; "Engine.free";
+      "Engine.arm"; "Engine.sift_up"; "Engine.sift_down"; "Engine.pop_min";
+    ]
 
 (* The repo profile itself must be clean — the same scan the @lint alias
    runs, typed tier included, executed from the repo root (scopes and

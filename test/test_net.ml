@@ -36,6 +36,59 @@ let rewrite_all_fields =
       Cksum.rewrite_dport p dport;
       Cksum.verify p)
 
+(* The byte-at-a-time checksum the word-at-a-time sum replaced: one
+   ones'-complement add per 16-bit word, an odd trailing byte as the
+   high half of a zero-padded word, then the pseudo-header. *)
+let reference_cksum ~src ~dst ~sport ~dport payload =
+  let add a b =
+    let s = a + b in
+    (s land 0xFFFF) + (s lsr 16)
+  in
+  let n = Bytes.length payload in
+  let acc = ref 0 and i = ref 0 in
+  while !i + 1 < n do
+    acc := add !acc ((Char.code (Bytes.get payload !i) lsl 8) lor Char.code (Bytes.get payload (!i + 1)));
+    i := !i + 2
+  done;
+  if !i < n then acc := add !acc (Char.code (Bytes.get payload !i) lsl 8);
+  List.iter
+    (fun v -> acc := add !acc (v land 0xFFFF))
+    [ src lsr 16; src; dst lsr 16; dst; sport; dport; n ];
+  lnot !acc land 0xFFFF
+
+let cksum_matches_reference =
+  let payload =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, string_size (int_range 0 70));
+          (1, map (fun n -> String.make n '\xff') (int_range 0 70));
+          (1, map (fun n -> String.make n '\x00') (int_range 0 9));
+          (1, string_size (int_range 65536 66000));
+          (1, map (fun n -> String.make n '\xff') (int_range 65536 66000));
+        ])
+  in
+  qtest "word-at-a-time checksum = byte-at-a-time reference" ~count:300
+    QCheck2.Gen.(tup4 payload (int_range 0 0xFFFF_FFFF) (int_range 0 65535) (int_range 0 65535))
+    (fun (payload, src, sport, dport) ->
+      let b = Bytes.of_string payload in
+      let dst = src lxor 0x5A5A in
+      Packet.compute_cksum ~src ~dst ~sport ~dport b
+      = reference_cksum ~src ~dst ~sport ~dport b)
+
+let cksum_edge_lengths () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun c ->
+          let b = Bytes.make n c in
+          check_int
+            (Printf.sprintf "length %d of %C" n c)
+            (reference_cksum ~src:1 ~dst:2 ~sport:3 ~dport:4 b)
+            (Packet.compute_cksum ~src:1 ~dst:2 ~sport:3 ~dport:4 b))
+        [ '\x00'; '\x01'; '\xff' ])
+    [ 0; 1; 2; 3; 4; 5; 7; 8; 9; 15; 16; 17; 65535; 65536; 65537; 131072 ]
+
 let patch_payload_checksum =
   qtest "payload patch keeps checksum"
     QCheck2.Gen.(pair (int_range 0 10) (string_size (int_range 1 8)))
@@ -440,6 +493,8 @@ let suite =
     ("checksum verifies", `Quick, checksum_verifies);
     ("rewrite dst keeps checksum", `Quick, rewrite_dst_keeps_checksum);
     rewrite_all_fields;
+    cksum_matches_reference;
+    ("checksum edge lengths", `Quick, cksum_edge_lengths);
     patch_payload_checksum;
     ("patch payload bounds", `Quick, patch_payload_bounds);
     ("patch payload odd straddle", `Quick, patch_payload_odd_straddle);

@@ -53,12 +53,15 @@ let min_under_interleaved_schedule_step =
             | _ -> false)
         ops)
 
-(* Timers and cancellation against a sorted-list model: random
+(* Timers, cancellation and sleeps against a sorted-list model: random
    interleavings of schedule, timer, cancel (of any handle ever made —
-   live, fired, already cancelled, or naming a recycled cell) and step.
+   live, fired, already cancelled, or naming a recycled cell), fibers
+   that sleep, and step. A napping fiber logs its label when it starts
+   and its negated label when it wakes; its wake-up draws its place in
+   the order when it falls asleep, and a zero sleep returns at once.
    Survivors fire in exact (time, seq) order, cancelled events never
    fire, and [pending] counts exactly the live events throughout. *)
-type timer_op = Sched of int | Arm of int | Cancel of int | Step
+type timer_op = Sched of int | Arm of int | Cancel of int | Nap of int | Step
 
 let timer_cancel_matches_model =
   let op =
@@ -68,6 +71,7 @@ let timer_cancel_matches_model =
           (2, map (fun d -> Sched d) (int_range 0 20));
           (3, map (fun d -> Arm d) (int_range 0 20));
           (3, map (fun k -> Cancel k) (int_range 0 1000));
+          (2, map (fun d -> Nap d) (int_range 0 20));
           (3, pure Step);
         ])
   in
@@ -76,12 +80,26 @@ let timer_cancel_matches_model =
     (fun ops ->
       let eng = Engine.create () in
       let log = ref [] and expected = ref [] in
-      let live = ref [] and handles = ref [||] and seq = ref 0 in
+      (* live: ((time, seq), label), sorted; naps: label -> sleep *)
+      let live = ref [] and naps = Hashtbl.create 8 in
+      let handles = ref [||] and seq = ref 0 and label = ref 0 in
+      let enqueue time lbl =
+        live := List.merge compare [ ((time, !seq), lbl) ] !live;
+        incr seq
+      in
       let add d =
-        let key = (Engine.now eng +. (0.5 *. float_of_int d), !seq) in
-        incr seq;
-        live := List.merge compare [ key ] !live;
-        (key, 0.5 *. float_of_int d, fun () -> log := key :: !log)
+        incr label;
+        let lbl = !label in
+        enqueue (Engine.now eng +. (0.5 *. float_of_int d)) lbl;
+        (lbl, 0.5 *. float_of_int d, fun () -> log := lbl :: !log)
+      in
+      (* What the model's earliest event does when it fires at [time]. *)
+      let fire_model ((time, _), lbl) =
+        expected := lbl :: !expected;
+        match Hashtbl.find_opt naps lbl with
+        | Some d when d > 0.0 -> enqueue (time +. d) (-lbl)
+        | Some _ -> expected := -lbl :: !expected
+        | None -> ()
       in
       let ok =
         List.for_all
@@ -93,34 +111,49 @@ let timer_cancel_matches_model =
                   Engine.schedule eng delay fn;
                   true
               | Arm d ->
-                  let key, delay, fn = add d in
-                  handles := Array.append !handles [| (Engine.timer eng delay fn, key) |];
+                  let lbl, delay, fn = add d in
+                  handles := Array.append !handles [| (Engine.timer eng delay fn, lbl) |];
                   true
               | Cancel k ->
                   let n = Array.length !handles in
                   if n > 0 then begin
-                    let h, key = !handles.(k mod n) in
+                    let h, lbl = !handles.(k mod n) in
                     Engine.cancel eng h;
-                    live := List.filter (fun k -> k <> key) !live
+                    live := List.filter (fun (_, l) -> l <> lbl) !live
                   end;
+                  true
+              | Nap d ->
+                  let lbl, _, _ = add 0 in
+                  let sleep = 0.5 *. float_of_int d in
+                  Hashtbl.replace naps lbl sleep;
+                  Engine.spawn eng (fun () ->
+                      log := lbl :: !log;
+                      Engine.sleep eng sleep;
+                      log := -lbl :: !log);
                   true
               | Step -> (
                   match (Engine.step eng, !live) with
                   | false, [] -> true
-                  | true, m :: rest ->
+                  | true, (((time, _), _) as m) :: rest ->
                       live := rest;
-                      expected := m :: !expected;
-                      Engine.now eng = fst m && (match !log with k :: _ -> k = m | [] -> false)
+                      fire_model m;
+                      Engine.now eng = time && !log = !expected
                   | _ -> false)
             in
             step_ok && Engine.pending eng = List.length !live)
           ops
       in
-      let survivors = !live in
+      let rec drain () =
+        match !live with
+        | [] -> ()
+        | m :: rest ->
+            live := rest;
+            fire_model m;
+            drain ()
+      in
       Engine.run eng;
-      ok
-      && List.rev !log = List.rev_append !expected survivors
-      && Engine.pending eng = 0)
+      drain ();
+      ok && !log = !expected && Engine.pending eng = 0)
 
 let cancel_stale_handles () =
   let eng = Engine.create () in
@@ -233,6 +266,88 @@ let fibers_interleave () =
       log := `B :: !log);
   Engine.run eng;
   check_bool "B before A" true (List.rev !log = [ `B; `A ])
+
+(* A NaN key would sit at the top of the heap and stop [run] with the
+   queue non-empty; both entry points refuse it, and infinity stays a
+   legal time. *)
+let nan_time_rejected () =
+  let eng = Engine.create () in
+  let ran = ref false in
+  Alcotest.check_raises "schedule_at nan" (Invalid_argument "Engine: NaN event time") (fun () ->
+      Engine.schedule_at eng Float.nan ignore);
+  Engine.schedule eng 1.0 (fun () -> ran := true);
+  Engine.run eng;
+  check_bool "later event ran" true !ran;
+  check_int "queue drained" 0 (Engine.pending eng);
+  check_float "clock at the later event" 1.0 (Engine.now eng)
+
+let nan_delay_rejected () =
+  let eng = Engine.create () in
+  Alcotest.check_raises "schedule nan" (Invalid_argument "Engine: NaN event time") (fun () ->
+      Engine.schedule eng Float.nan ignore);
+  Alcotest.check_raises "timer nan" (Invalid_argument "Engine: NaN event time") (fun () ->
+      ignore (Engine.timer eng Float.nan ignore));
+  check_int "nothing queued" 0 (Engine.pending eng);
+  Engine.schedule_at eng Float.infinity ignore;
+  check_int "infinity is legal" 1 (Engine.pending eng)
+
+(* A sleeper's wake-up and a plain event at the same instant run in the
+   order they were scheduled, whichever came first. *)
+let sleep_orders_with_schedule () =
+  let order ~sleep_first =
+    let eng = Engine.create () in
+    let log = ref [] in
+    let plain () = Engine.schedule_at eng 1.0 (fun () -> log := "plain" :: !log) in
+    if not sleep_first then plain ();
+    Engine.spawn eng (fun () ->
+        Engine.sleep_until eng 1.0;
+        log := "sleeper" :: !log);
+    if sleep_first then Engine.schedule eng 0.0 plain;
+    Engine.run eng;
+    List.rev !log
+  in
+  check_bool "sleeper first" true (order ~sleep_first:true = [ "sleeper"; "plain" ]);
+  check_bool "plain first" true (order ~sleep_first:false = [ "plain"; "sleeper" ]);
+  (* the relative form draws its place the same way *)
+  let eng = Engine.create () in
+  let log = ref [] in
+  Engine.spawn eng (fun () ->
+      Engine.sleep eng 0.5;
+      log := "sleeper" :: !log);
+  Engine.schedule eng 0.0 (fun () -> Engine.schedule eng 0.5 (fun () -> log := "plain" :: !log));
+  Engine.run eng;
+  check_bool "relative sleeper first" true (List.rev !log = [ "sleeper"; "plain" ])
+
+(* Sleeping for no time, a negative time, or until the present or past
+   does not park the fiber: an event already queued for this instant
+   has not run when the call returns. *)
+let sleep_nothing_returns () =
+  run_fiber (fun eng ->
+      Engine.sleep eng 1.0;
+      let queued = ref false in
+      Engine.schedule eng 0.0 (fun () -> queued := true);
+      let now = Engine.now eng in
+      Engine.sleep eng 0.0;
+      Engine.sleep eng (-1.0);
+      Engine.sleep_until eng now;
+      Engine.sleep_until eng (now -. 1.0);
+      check_bool "no other event ran" false !queued;
+      check_int "nothing more queued" 1 (Engine.pending eng);
+      check_float "clock unmoved" now (Engine.now eng))
+
+exception Boom
+
+let raise_after_sleep_aborts_run () =
+  let eng = Engine.create () in
+  let after = ref false in
+  Engine.spawn eng (fun () ->
+      Engine.sleep eng 1.0;
+      raise Boom);
+  Engine.schedule eng 2.0 (fun () -> after := true);
+  Alcotest.check_raises "run aborts" Boom (fun () -> Engine.run eng);
+  check_float "at the wake-up" 1.0 (Engine.now eng);
+  check_bool "later event not run" false !after;
+  check_int "later event still queued" 1 (Engine.pending eng)
 
 let resource_fcfs () =
   let eng = Engine.create () in
@@ -362,6 +477,11 @@ let suite =
     ("sleep advances time", `Quick, sleep_advances_time);
     ("suspend resumes with value", `Quick, suspend_resumes_with_value);
     ("waker idempotent", `Quick, waker_idempotent);
+    ("NaN time rejected", `Quick, nan_time_rejected);
+    ("NaN delay rejected", `Quick, nan_delay_rejected);
+    ("sleep orders with schedule_at", `Quick, sleep_orders_with_schedule);
+    ("sleep for nothing returns at once", `Quick, sleep_nothing_returns);
+    ("raise after sleep aborts run", `Quick, raise_after_sleep_aborts_run);
     ("fibers interleave", `Quick, fibers_interleave);
     ("resource FCFS", `Quick, resource_fcfs);
     ("resource parallel capacity", `Quick, resource_parallel_capacity);
